@@ -6,9 +6,13 @@
 // PlanSearch/exhaustive/<scenario> paired with its
 // PlanSearch/dp/<scenario> counterpart. CI runs it after the bench
 // smoke jobs and uploads the results as artifacts; the first snapshots
-// are committed at the repo root.
+// are committed at the repo root. BenchmarkEvaluate lives in
+// internal/cost, next to the tree-walker oracle it times; the other
+// benchmarks live at the repo root. Concatenated outputs of several
+// go test runs parse as one report.
 //
-//	go test -run '^$' -bench 'BenchmarkEvaluate' -benchmem . | go run ./cmd/benchjson > BENCH_eval.json
+//	(go test -run '^$' -bench 'BenchmarkEvaluate$' -benchmem ./internal/cost;
+//	 go test -run '^$' -bench 'BenchmarkSweepGrid$' -benchmem .) | go run ./cmd/benchjson > BENCH_eval.json
 //	go test -run '^$' -bench 'BenchmarkPlanSearch' -benchmem . | go run ./cmd/benchjson > BENCH_plan.json
 //
 // With -check, the acceptance bar of the cost IR is enforced: every

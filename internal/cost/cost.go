@@ -7,17 +7,18 @@
 // latencies to obtain the memory access time (Eq. 3.1) and total
 // execution time (Eq. 6.1).
 //
+// Every prediction, Explain's itemized one included, runs on the
+// compiled flat IR of internal/costir. The package's tests keep the
+// original recursive tree walker as an independent reference oracle.
+//
 // All miss counts are expectations and therefore float64.
 package cost
 
 import (
-	"fmt"
-
 	"repro/internal/costir"
 	"repro/internal/costmath"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
-	"repro/internal/region"
 )
 
 // Misses is the paper's per-level pair (M^s, M^r): expected sequential
@@ -26,20 +27,6 @@ import (
 // internal/costir, so results flow between the evaluators without
 // conversion.
 type Misses = costmath.Misses
-
-// State describes the contents of one cache level as the fraction of
-// each data region that is resident (the paper's set of ⟨R, ρ⟩ pairs).
-// Regions not present are not cached at all.
-type State map[*region.Region]float64
-
-// Clone returns a copy of the state.
-func (s State) Clone() State {
-	out := make(State, len(s))
-	for r, f := range s {
-		out[r] = f
-	}
-	return out
-}
 
 // LevelResult holds the predicted misses for one cache level.
 type LevelResult struct {
@@ -67,7 +54,7 @@ func (r *Result) MemoryTimeNS() float64 {
 	return t
 }
 
-// TotalMisses returns the summed miss pair for the named level.
+// Level returns the result for the named level.
 func (r *Result) Level(name string) (LevelResult, bool) {
 	for _, lr := range r.PerLevel {
 		if lr.Level.Name == name {
@@ -103,15 +90,6 @@ func MustNew(h *hardware.Hierarchy) *Model {
 // Hierarchy returns the model's hardware hierarchy.
 func (m *Model) Hierarchy() *hardware.Hierarchy { return m.hier }
 
-// ColdStates returns an all-empty initial cache state, one per level.
-func (m *Model) ColdStates() []State {
-	out := make([]State, len(m.hier.Levels))
-	for i := range out {
-		out[i] = State{}
-	}
-	return out
-}
-
 // Evaluate predicts the misses of p on cold caches. It is a thin
 // wrapper over the flat-IR path: the pattern is compiled once
 // (canonicalized, regions deduplicated) and evaluated by the
@@ -138,39 +116,6 @@ func (m *Model) EvaluateCompiled(prog *costir.Program) *Result {
 	return res
 }
 
-// EvaluateTree predicts the misses of p on cold caches using the
-// original recursive tree walker. It is retained as the reference
-// oracle the IR evaluator is property-tested against (and as the
-// engine behind Explain and EvaluateFrom, which need per-node and
-// warm-state access the flat program does not expose). Production
-// callers should use Evaluate.
-func (m *Model) EvaluateTree(p pattern.Pattern) (*Result, error) {
-	res, _, err := m.EvaluateFrom(m.ColdStates(), p)
-	return res, err
-}
-
-// EvaluateFrom predicts the misses of p given per-level initial cache
-// states, returning also the per-level states after p completed. It
-// always uses the tree walker: arbitrary warm states are keyed by
-// region pointer, which the compiled representation abstracts away.
-func (m *Model) EvaluateFrom(states []State, p pattern.Pattern) (*Result, []State, error) {
-	if err := pattern.Validate(p); err != nil {
-		return nil, nil, err
-	}
-	if len(states) != len(m.hier.Levels) {
-		return nil, nil, fmt.Errorf("cost: got %d states for %d levels", len(states), len(m.hier.Levels))
-	}
-	res := &Result{PerLevel: make([]LevelResult, len(m.hier.Levels))}
-	after := make([]State, len(m.hier.Levels))
-	for i, spec := range m.hier.Levels {
-		lp := paramsFor(spec)
-		mi, st := evalLevel(lp, states[i], p)
-		res.PerLevel[i] = LevelResult{Level: spec, Misses: mi}
-		after[i] = st
-	}
-	return res, after, nil
-}
-
 // MemoryTimeNS predicts T_mem for p on cold caches (Eq. 3.1).
 func (m *Model) MemoryTimeNS(p pattern.Pattern) (float64, error) {
 	res, err := m.Evaluate(p)
@@ -188,18 +133,4 @@ func (m *Model) TotalTimeNS(p pattern.Pattern, cpuNS float64) (float64, error) {
 		return 0, err
 	}
 	return tm + cpuNS, nil
-}
-
-// levelParams are the per-level quantities the formulas use, shared
-// with the formula kernel. Capacity and line count are float64 because
-// concurrent execution divides the cache among patterns in footprint
-// proportion (Eq. 5.3), yielding fractional effective capacities.
-type levelParams = costmath.Level
-
-func paramsFor(spec hardware.Level) levelParams {
-	return levelParams{
-		C: float64(spec.Capacity),
-		B: float64(spec.LineSize),
-		L: float64(spec.Lines()),
-	}
 }

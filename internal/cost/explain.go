@@ -5,24 +5,28 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/costir"
 	"repro/internal/pattern"
 )
 
 // Explain produces an itemized cost breakdown of a pattern: for every
-// node of the pattern tree, its per-level misses and memory time, with
-// cache state threaded exactly as in Evaluate. Optimizer developers use
-// it to see *where* a plan's memory cost comes from.
+// node of its canonical tree (costir.Outline: ⊕ flattened, ⊙ operands
+// sorted), the per-level misses and memory time. It runs on the same
+// compiled program and evaluator as Evaluate, so the breakdown and the
+// totals come from one pricer. Optimizer developers use it to see
+// *where* a plan's memory cost comes from.
 
-// ExplainNode is one pattern-tree node's contribution.
+// ExplainNode is one canonical-tree node's contribution.
 type ExplainNode struct {
-	// Pattern is the node's rendering.
+	// Pattern is the node's label: "seq of N", "conc of N", or the
+	// Table-2 rendering of a basic pattern.
 	Pattern string
 	// Depth is the tree depth (0 = root).
 	Depth int
 	// Kind is "basic", "seq" or "conc".
 	Kind string
-	// PerLevel holds the node's misses per hierarchy level (for
-	// compounds: the sum over children).
+	// PerLevel holds the node's misses per hierarchy level: the
+	// in-order sum over the basic patterns the node covers.
 	PerLevel []Misses
 	// TimeNS is the node's memory time (Eq. 3.1 over PerLevel).
 	TimeNS float64
@@ -58,130 +62,38 @@ func (e *Explanation) Render(w io.Writer) {
 	}
 }
 
-// Explain evaluates p on cold caches and returns the itemized breakdown.
-// The totals equal Evaluate's result exactly.
+// Explain evaluates p on cold caches and returns the itemized breakdown,
+// one row per canonical-tree node in preorder. Each basic row holds the
+// misses its instruction contributed to Evaluate's pass; a compound
+// row sums its basics in program order, so the root row is the very
+// floating-point sum Evaluate returns.
 func (m *Model) Explain(p pattern.Pattern) (*Explanation, error) {
-	if err := pattern.Validate(p); err != nil {
+	prog, outline, err := costir.Outline(p)
+	if err != nil {
 		return nil, err
 	}
-	e := &Explanation{Model: m}
-	states := m.ColdStates()
-	lps := make([]levelParams, len(m.hier.Levels))
-	for i, spec := range m.hier.Levels {
-		lps[i] = paramsFor(spec)
+	nL := len(m.hier.Levels)
+	basics := make([]Misses, prog.NumBasics()*nL)
+	prog.EvaluateBasics(m.hier, basics)
+	e := &Explanation{Model: m, Nodes: make([]ExplainNode, len(outline))}
+	for i, n := range outline {
+		per := make([]Misses, nL)
+		for b := n.Lo; b < n.Hi; b++ {
+			for li := range per {
+				per[li] = per[li].Add(basics[b*nL+li])
+			}
+		}
+		e.Nodes[i] = ExplainNode{Pattern: n.Label, Depth: n.Depth, Kind: n.Kind, PerLevel: per, TimeNS: e.timeOf(per)}
 	}
-	e.explain(lps, states, p, 0)
 	return e, nil
 }
 
-// explain walks the pattern tree mirroring evalLevel's state threading,
-// appending one ExplainNode per tree node; it returns the node's
-// per-level misses and the per-level states after it ran.
-func (e *Explanation) explain(lps []levelParams, states []State, p pattern.Pattern, depth int) ([]Misses, []State) {
-	idx := len(e.Nodes)
-	node := ExplainNode{Pattern: p.String(), Depth: depth, Kind: "basic"}
-	e.Nodes = append(e.Nodes, node)
-
-	switch q := p.(type) {
-	case pattern.Seq:
-		node.Kind = "seq"
-		node.Pattern = fmt.Sprintf("seq of %d", len(q))
-		total := make([]Misses, len(lps))
-		cur := states
-		for _, sub := range q {
-			var mi []Misses
-			mi, cur = e.explain(lps, cur, sub, depth+1)
-			for i := range total {
-				total[i] = total[i].Add(mi[i])
-			}
-		}
-		node.PerLevel = total
-		node.TimeNS = e.timeOf(total)
-		e.Nodes[idx] = node
-		return total, cur
-
-	case pattern.Conc:
-		node.Kind = "conc"
-		node.Pattern = fmt.Sprintf("conc of %d", len(q))
-		total := make([]Misses, len(lps))
-		after := make([]State, len(lps))
-		for i := range after {
-			after[i] = State{}
-		}
-		// Mirror evalLevel's division per level for each child.
-		for _, sub := range q {
-			subMisses := make([]Misses, len(lps))
-			subStates := make([]State, len(lps))
-			for i, lp := range lps {
-				totalFoot := footprint(lp, q)
-				nu := 1.0
-				if totalFoot > 0 {
-					nu = footprint(lp, sub) / totalFoot
-				}
-				if nu <= 0 {
-					nu = 1 / lp.L
-				}
-				mi, st := evalLevel(lp.Scaled(nu), states[i], sub)
-				subMisses[i] = mi
-				subStates[i] = st
-			}
-			e.appendChild(lps, subMisses, sub, depth+1)
-			for i := range total {
-				total[i] = total[i].Add(subMisses[i])
-				for r, f := range subStates[i] {
-					if f > after[i][r] {
-						after[i][r] = f
-					}
-				}
-			}
-		}
-		for i := range after {
-			after[i] = mergeState(lps[i], states[i], after[i])
-		}
-		node.PerLevel = total
-		node.TimeNS = e.timeOf(total)
-		e.Nodes[idx] = node
-		return total, after
-
-	default:
-		mi := make([]Misses, len(lps))
-		after := make([]State, len(lps))
-		for i, lp := range lps {
-			m, st := evalLevel(lp, states[i], p)
-			mi[i] = m
-			after[i] = st
-		}
-		node.PerLevel = mi
-		node.TimeNS = e.timeOf(mi)
-		e.Nodes[idx] = node
-		return mi, after
-	}
-}
-
-// appendChild records a concurrent child's contribution without
-// re-walking its subtree with unscaled parameters (the division already
-// happened); nested compounds under ⊙ appear as single summarized rows.
-func (e *Explanation) appendChild(lps []levelParams, mi []Misses, p pattern.Pattern, depth int) {
-	kind := "basic"
-	switch p.(type) {
-	case pattern.Seq:
-		kind = "seq"
-	case pattern.Conc:
-		kind = "conc"
-	}
-	e.Nodes = append(e.Nodes, ExplainNode{
-		Pattern:  p.String(),
-		Depth:    depth,
-		Kind:     kind,
-		PerLevel: mi,
-		TimeNS:   e.timeOf(mi),
-	})
-}
-
+// timeOf scores per-level misses with Eq. 3.1 exactly as
+// Result.MemoryTimeNS does.
 func (e *Explanation) timeOf(mi []Misses) float64 {
 	var t float64
-	for i, l := range e.Model.Hierarchy().Levels {
-		t += mi[i].Seq*l.SeqMissLatency + mi[i].Rnd*l.RndMissLatency
+	for i, l := range e.Model.hier.Levels {
+		t += LevelResult{Level: l, Misses: mi[i]}.MemoryTimeNS()
 	}
 	return t
 }

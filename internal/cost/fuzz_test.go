@@ -1,11 +1,9 @@
-package costir_test
+package cost_test
 
 // FuzzCompileParity decodes arbitrary bytes into a bounded random
 // pattern tree and checks the headline guarantee of the cost IR: the
-// compiled evaluator and the reference tree walker agree on every
-// hierarchy level within 1e-9 relative. (This test lives in an
-// external test package so it can drive both evaluators through
-// internal/cost without an import cycle.)
+// compiled evaluator and the reference tree walker (oracle_test.go)
+// agree on every hierarchy level within 1e-9 relative.
 
 import (
 	"fmt"

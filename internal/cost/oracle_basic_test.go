@@ -6,13 +6,14 @@ import (
 	"repro/internal/region"
 )
 
-// This file dispatches basic patterns to the per-pattern cache-miss
-// formulas of Section 4 of the paper (Eqs. 4.2 through 4.9). The
-// arithmetic itself lives in internal/costmath — one leaf package shared
-// with the flat-IR evaluator (internal/costir) so the two evaluators
-// cannot drift apart formula-by-formula. The thin wrappers below adapt
-// the shared kernel to this package's *region.Region plumbing and keep
-// the original names the unit tests exercise.
+// This file is the tree walker's basic-pattern dispatch (test code: see
+// oracle_test.go): each basic pattern goes to its Section-4 cache-miss
+// formula (Eqs. 4.2 through 4.9). The arithmetic itself lives in
+// internal/costmath — one leaf package shared with the flat-IR
+// evaluator (internal/costir) so the two evaluators cannot drift apart
+// formula-by-formula. The thin wrappers below adapt the shared kernel
+// to the walker's *region.Region plumbing and keep the original names
+// the unit tests exercise.
 
 // linesPerItem returns the expected number of cache lines of size B that
 // an access to u consecutive bytes touches (the paper's Eq. 4.3/4.5

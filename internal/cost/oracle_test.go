@@ -1,13 +1,113 @@
 package cost
 
 import (
+	"fmt"
 	"sort"
 
+	"repro/internal/costmath"
+	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/region"
 )
 
-// This file implements Section 5 of the paper: combining the cost
+// This file is the reference tree walker: the paper's Section-5
+// combination rules evaluated recursively over the pattern tree, with
+// cache state keyed by region pointer. Production code prices every
+// pattern on the compiled IR (internal/costir); the tree walker stays
+// here, in test code only, as the independent oracle the parity,
+// property and fuzz tests compare the IR against.
+
+// State describes the contents of one cache level as the fraction of
+// each data region that is resident (the paper's set of ⟨R, ρ⟩ pairs).
+// Regions not present are not cached at all.
+type State map[*region.Region]float64
+
+// Clone returns a copy of the state.
+func (s State) Clone() State {
+	out := make(State, len(s))
+	for r, f := range s {
+		out[r] = f
+	}
+	return out
+}
+
+// ColdStates returns an all-empty initial cache state, one per level.
+func (m *Model) ColdStates() []State {
+	out := make([]State, len(m.hier.Levels))
+	for i := range out {
+		out[i] = State{}
+	}
+	return out
+}
+
+// EvaluateTree predicts the misses of p on cold caches using the
+// original recursive tree walker: the reference the IR evaluator is
+// tested against.
+func (m *Model) EvaluateTree(p pattern.Pattern) (*Result, error) {
+	res, _, err := m.EvaluateFrom(m.ColdStates(), p)
+	return res, err
+}
+
+// EvaluateFrom predicts the misses of p given per-level initial cache
+// states, returning also the per-level states after p completed.
+// Arbitrary warm states are keyed by region pointer, which the
+// compiled representation abstracts away.
+func (m *Model) EvaluateFrom(states []State, p pattern.Pattern) (*Result, []State, error) {
+	if err := pattern.Validate(p); err != nil {
+		return nil, nil, err
+	}
+	if len(states) != len(m.hier.Levels) {
+		return nil, nil, fmt.Errorf("cost: got %d states for %d levels", len(states), len(m.hier.Levels))
+	}
+	res := &Result{PerLevel: make([]LevelResult, len(m.hier.Levels))}
+	after := make([]State, len(m.hier.Levels))
+	for i, spec := range m.hier.Levels {
+		lp := paramsFor(spec)
+		mi, st := evalLevel(lp, states[i], p, nil)
+		res.PerLevel[i] = LevelResult{Level: spec, Misses: mi}
+		after[i] = st
+	}
+	return res, after, nil
+}
+
+// levelParams are the per-level quantities the formulas use, shared
+// with the formula kernel. Capacity and line count are float64 because
+// concurrent execution divides the cache among patterns in footprint
+// proportion (Eq. 5.3), yielding fractional effective capacities.
+type levelParams = costmath.Level
+
+func paramsFor(spec hardware.Level) levelParams {
+	return levelParams{
+		C: float64(spec.Capacity),
+		B: float64(spec.LineSize),
+		L: float64(spec.Lines()),
+	}
+}
+
+// ExplainTree is the tree walker's Explain, the oracle for Explain's
+// rows: the misses of every node of p's own tree (as spelled: nothing
+// flattened or sorted) in preorder, per hierarchy level, threaded
+// exactly as evalLevel threads them — rows[node][level]. p must
+// validate.
+func (m *Model) ExplainTree(p pattern.Pattern) [][]Misses {
+	var rows [][]Misses
+	for li, spec := range m.hier.Levels {
+		var level []Misses
+		evalLevel(paramsFor(spec), State{}, p, &level)
+		if rows == nil {
+			rows = make([][]Misses, len(level))
+			for i := range rows {
+				rows[i] = make([]Misses, len(m.hier.Levels))
+			}
+		}
+		for i, mi := range level {
+			rows[i][li] = mi
+		}
+	}
+	return rows
+}
+
+// The walker implements Section 5 of the paper: combining the cost
 // functions of basic patterns into cost functions for compound patterns.
 //
 //   - Eq. 5.1: misses of a basic pattern given an initial cache state
@@ -18,8 +118,14 @@ import (
 //     which is divided among them in proportion to their footprints.
 
 // evalLevel computes the misses of p at one cache level, given the
-// initial state st, and returns the resulting state.
-func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
+// initial state st, and returns the resulting state. A non-nil rows
+// receives every node's misses in preorder (see ExplainTree).
+func evalLevel(lp levelParams, st State, p pattern.Pattern, rows *[]Misses) (res Misses, out State) {
+	if rows != nil {
+		row := len(*rows)
+		*rows = append(*rows, Misses{})
+		defer func() { (*rows)[row] = res }()
+	}
 	switch q := p.(type) {
 	case pattern.Seq:
 		// Eq. 5.2: fold the state through the sub-patterns.
@@ -27,7 +133,7 @@ func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
 		cur := st
 		for _, sub := range q {
 			var mi Misses
-			mi, cur = evalLevel(lp, cur, sub)
+			mi, cur = evalLevel(lp, cur, sub, rows)
 			total = total.Add(mi)
 		}
 		return total, cur
@@ -49,7 +155,7 @@ func evalLevel(lp levelParams, st State, p pattern.Pattern) (Misses, State) {
 				nu = 1 / lp.L
 			}
 			slp := lp.Scaled(nu)
-			mi, subState := evalLevel(slp, st, sub)
+			mi, subState := evalLevel(slp, st, sub, rows)
 			sum = sum.Add(mi)
 			// After ⊙ the cache holds a fraction of each region
 			// proportional to its pattern's share.

@@ -31,7 +31,7 @@ func (p *Program) EvaluateBatch(hs []*hardware.Hierarchy, dst []Misses) []Misses
 	}
 	ev := p.getEvaluator(maxL)
 	for _, h := range hs {
-		ev.run(p, h.Levels)
+		ev.run(p, h.Levels, nil)
 		dst = append(dst, ev.miss[:len(h.Levels)]...)
 	}
 	p.pool.put(ev)

@@ -4,12 +4,15 @@
 // deduplicated regions — evaluated by an allocation-free stack machine
 // (eval.go).
 //
-// The recursive tree walker in internal/cost reproduces the paper
-// faithfully but pays interface dispatch per node and a fresh
-// pointer-keyed cache-state map per level per evaluation. Analytical
-// cost models earn their keep by being orders of magnitude cheaper
-// than simulation, and a query optimizer calls the model once per
-// candidate plan, so the model's own evaluation path is a hot path.
+// It is the model's one production pricer: Evaluate, plan pricing,
+// grid sweeps and Explain (via Outline and EvaluateBasics) all run on
+// it. The recursive tree walker — kept in internal/cost's test code as
+// the reference oracle — reproduces the paper faithfully but pays
+// interface dispatch per node and a fresh pointer-keyed cache-state
+// map per level per evaluation. Analytical cost models earn their keep
+// by being orders of magnitude cheaper than simulation, and a query
+// optimizer calls the model once per candidate plan, so the model's
+// own evaluation path is a hot path.
 // Compilation moves everything shape-dependent out of it:
 //
 //   - Canonicalization (canon below): bytes-used parameters resolved,
@@ -34,9 +37,9 @@
 // A compiled Program is immutable and safe for concurrent use; its
 // Evaluate method computes every cache level in a single pass over the
 // instruction stream and performs no heap allocation in steady state
-// (scratch buffers are pooled per program). internal/cost keeps the
-// tree walker as the reference oracle; the property tests there verify
-// the two evaluators agree on randomized compound patterns.
+// (scratch buffers are pooled per program). The parity, property and
+// fuzz tests of internal/cost verify it agrees with the tree-walker
+// oracle on randomized compound patterns.
 package costir
 
 import (
@@ -163,6 +166,11 @@ func Compile(p pattern.Pattern) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compileTree(root), nil
+}
+
+// compileTree lowers a canonical tree into a Program.
+func compileTree(root *cnode) *Program {
 	c := compiler{regIdx: map[string]int32{}}
 	c.emit(root)
 	return &Program{
@@ -174,7 +182,7 @@ func Compile(p pattern.Pattern) (*Program, error) {
 		maxDepth:  c.maxDepth,
 		footDepth: c.footMax,
 		numBasics: c.numBasics,
-	}, nil
+	}
 }
 
 // CanonicalKey returns the canonical form of p without building the

@@ -11,8 +11,8 @@ import (
 )
 
 // This file is the zero-allocation evaluator of compiled programs. It
-// mirrors the semantics of the reference tree walker in
-// internal/cost/combine.go instruction by instruction:
+// mirrors the semantics of the reference tree walker (test code,
+// internal/cost/oracle_test.go) instruction by instruction:
 //
 //   - Eq. 5.1: basic instructions adjust their cold-cache count by the
 //     resident fraction of their region (inherited through the
@@ -43,7 +43,7 @@ import (
 type Misses = costmath.Misses
 
 // maxStateEntries bounds the number of resident regions tracked per
-// level, mirroring the tree walker's bound (internal/cost/combine.go):
+// level, mirroring the tree walker's bound (internal/cost/oracle_test.go):
 // retention keeps the entries holding the most resident bytes — the
 // only ones that can change a later prediction.
 const maxStateEntries = 96
@@ -56,10 +56,23 @@ const maxStateEntries = 96
 func (p *Program) Evaluate(h *hardware.Hierarchy, dst []Misses) []Misses {
 	nL := len(h.Levels)
 	ev := p.getEvaluator(nL)
-	ev.run(p, h.Levels)
+	ev.run(p, h.Levels, nil)
 	dst = append(dst[:0], ev.miss[:nL]...)
 	p.pool.put(ev)
 	return dst
+}
+
+// EvaluateBasics runs Evaluate's pass over h and writes every basic
+// instruction's own per-level misses into basics, basic-major: basic b
+// (in emission order, the order of Outline's ranges) at level li lands
+// in basics[b*len(h.Levels)+li]. basics must hold at least
+// NumBasics()·len(h.Levels) entries. Evaluate accumulates exactly
+// these values in emission order, so summing them in that order from
+// zero reproduces its result bit for bit.
+func (p *Program) EvaluateBasics(h *hardware.Hierarchy, basics []Misses) {
+	ev := p.getEvaluator(len(h.Levels))
+	ev.run(p, h.Levels, basics[:p.numBasics*len(h.Levels)])
+	p.pool.put(ev)
 }
 
 // MemoryTimeNS computes T_mem (Eq. 3.1) of the compiled pattern on h:
@@ -67,7 +80,7 @@ func (p *Program) Evaluate(h *hardware.Hierarchy, dst []Misses) []Misses {
 // no heap allocation in steady state.
 func (p *Program) MemoryTimeNS(h *hardware.Hierarchy) float64 {
 	ev := p.getEvaluator(len(h.Levels))
-	ev.run(p, h.Levels)
+	ev.run(p, h.Levels, nil)
 	var t float64
 	for i := range h.Levels {
 		t += ev.miss[i].Seq*h.Levels[i].SeqMissLatency + ev.miss[i].Rnd*h.Levels[i].RndMissLatency
@@ -203,8 +216,10 @@ func ensureNZ(nz [][]int32, nLevels, nR int) [][]int32 {
 	return nz
 }
 
-// run executes the program for all levels in one pass.
-func (ev *evaluator) run(p *Program, levels []hardware.Level) {
+// run executes the program for all levels in one pass. A non-nil
+// basics receives each basic instruction's per-level misses (see
+// EvaluateBasics).
+func (ev *evaluator) run(p *Program, levels []hardware.Level, basics []Misses) {
 	nL, nR := len(levels), len(p.regions)
 	for i := 0; i < nL; i++ {
 		ev.lp[i] = costmath.Level{
@@ -219,7 +234,7 @@ func (ev *evaluator) run(p *Program, levels []hardware.Level) {
 
 	ev.footprints(p, nL)
 
-	depth := 0
+	depth, b := 0, 0
 	for ii := range p.instrs {
 		in := &p.instrs[ii]
 		switch in.Op {
@@ -267,8 +282,12 @@ func (ev *evaluator) run(p *Program, levels []hardware.Level) {
 			copy(ev.lp[:nL], f.saved[:nL])
 		default:
 			for li := 0; li < nL; li++ {
-				ev.evalBasic(p, in, li, nR)
+				mi := ev.evalBasic(p, in, li, nR)
+				if basics != nil {
+					basics[b*nL+li] = mi
+				}
 			}
+			b++
 		}
 	}
 }
@@ -381,8 +400,9 @@ func (ev *evaluator) maxMerge(f *frame, li, nR int) {
 
 // evalBasic executes one basic-pattern instruction at one level:
 // Eq. 5.1 state adjustment around the Section-4 cold count, miss
-// accumulation, then the state merge.
-func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) {
+// accumulation, then the state merge. It returns the instruction's own
+// misses.
+func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) Misses {
 	lv := ev.lp[li]
 	row := ev.state[li*nR : (li+1)*nR]
 	reg := &p.regions[in.Reg]
@@ -435,6 +455,7 @@ func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) {
 	} else {
 		ev.mergeEmpty(p, row, li, lv)
 	}
+	return mi
 }
 
 // coldMisses dispatches a basic instruction to its Section-4 formula.

@@ -5,9 +5,9 @@
 // scalar region parameters (item count n, item width w), and returns
 // expected miss counts as float64 expectations.
 //
-// Both evaluators share this package: the recursive tree walker in
-// internal/cost (the reference implementation) and the flat-IR
-// evaluator in internal/costir (the production fast path). Keeping the
+// Both evaluators share this package: the flat-IR evaluator in
+// internal/costir (the one production pricer) and the recursive tree
+// walker in internal/cost's test code (the reference oracle). Keeping the
 // formulas in one leaf package guarantees the two cannot drift apart
 // formula-by-formula; the parity property tests in internal/cost then
 // only have to certify the state threading.

@@ -3,6 +3,7 @@ package server_test
 import (
 	"encoding/json"
 	"net/http"
+	"reflect"
 	"testing"
 
 	"repro/pkg/costmodel/server"
@@ -21,13 +22,15 @@ func TestBatchDedup(t *testing.T) {
 		{Profile: "origin2000", Regions: u, Pattern: "r_trav(U)"},
 		{Profile: "origin2000", Regions: u, Pattern: "s_trav(U)", Explain: true},
 		{Profile: "origin2000", Regions: u, Pattern: "s_trav(U)", Explain: true},
+		{Profile: "origin2000", Regions: u, Pattern: "s_trav(U) (.) r_trav(U)", Explain: true},
+		{Profile: "origin2000", Regions: u, Pattern: "r_trav(U) (.) s_trav(U)", Explain: true},
 		{Pattern: "s_trav(U)"}, // missing profile: resolved in the prepass
 	}
 	results := srv.EvaluateBatch(reqs)
 	if len(results) != len(reqs) {
 		t.Fatalf("%d results for %d requests", len(results), len(reqs))
 	}
-	for i, res := range results[:5] {
+	for i, res := range results[:7] {
 		if res.Error != "" {
 			t.Fatalf("request %d: %s", i, res.Error)
 		}
@@ -49,27 +52,35 @@ func TestBatchDedup(t *testing.T) {
 	}
 
 	// The explain pair dedups within itself but not against the plain
-	// requests (the key carries the explain spelling).
+	// requests (the key carries the explain flag).
 	if len(results[3].Explain) == 0 || len(results[4].Explain) == 0 {
 		t.Error("explain output missing")
 	}
 	if !results[4].Cached || results[3].Cached {
 		t.Error("explain pair did not dedup onto its first occurrence")
 	}
+	// Explain itemizes the canonical tree, so ⊙-swapped spellings share
+	// one explained leader and its rows.
+	if !results[6].Cached || results[5].Cached {
+		t.Error("⊙-swapped explain spellings did not share one dedup leader")
+	}
+	if len(results[5].Explain) != 3 || !reflect.DeepEqual(results[5].Explain, results[6].Explain) {
+		t.Errorf("explain rows differ across spellings: %+v vs %+v", results[5].Explain, results[6].Explain)
+	}
 
-	if results[5].Error == "" {
+	if results[7].Error == "" {
 		t.Error("malformed request produced no error")
 	}
 
-	// 3 leaders evaluated (plain, r_trav, explain), 2 followers served
-	// by dedup; the malformed request counts as neither.
+	// 4 leaders evaluated (plain, r_trav, two explained), 3 followers
+	// served by dedup; the malformed request counts as neither.
 	st := srv.BatchDedupStats()
-	if st.Hits != 2 || st.Misses != 3 {
-		t.Errorf("dedup stats hits=%d misses=%d, want 2/3", st.Hits, st.Misses)
+	if st.Hits != 3 || st.Misses != 4 {
+		t.Errorf("dedup stats hits=%d misses=%d, want 3/4", st.Hits, st.Misses)
 	}
 
 	// Parity: a deduped batch returns what per-request evaluation would.
-	for i, req := range reqs[:5] {
+	for i, req := range reqs[:7] {
 		direct := srv.Evaluate(req)
 		if direct.Error != "" {
 			t.Fatalf("direct %d: %s", i, direct.Error)
@@ -98,8 +109,8 @@ func TestBatchDedup(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if health.BatchDedup.Hits != 2 || health.BatchDedup.Misses != 3 {
-		t.Errorf("healthz batch_dedup hits=%d misses=%d, want 2/3",
+	if health.BatchDedup.Hits != 3 || health.BatchDedup.Misses != 4 {
+		t.Errorf("healthz batch_dedup hits=%d misses=%d, want 3/4",
 			health.BatchDedup.Hits, health.BatchDedup.Misses)
 	}
 }

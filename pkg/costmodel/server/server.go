@@ -95,7 +95,7 @@ type Server struct {
 	resultMisses  atomic.Uint64
 	// batchDedupHits counts batch requests answered by another request
 	// of the same batch (same canonical program, profile, and explain
-	// spelling); batchDedupMisses counts the batch leaders that were
+	// flag); batchDedupMisses counts the batch leaders that were
 	// actually evaluated.
 	batchDedupHits   atomic.Uint64
 	batchDedupMisses atomic.Uint64
@@ -216,7 +216,9 @@ type LevelCost struct {
 	TimeNS    float64 `json:"time_ns"`
 }
 
-// ExplainLine is one pattern-tree node of an explained prediction.
+// ExplainLine is one canonical-tree node of an explained prediction
+// (⊕ flattened, ⊙ operands sorted), so every spelling of one canonical
+// pattern explains to the same lines.
 type ExplainLine struct {
 	Pattern string  `json:"pattern"`
 	Depth   int     `json:"depth"`
@@ -285,25 +287,29 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 
 // EvaluateBatch evaluates the requests concurrently, returning results
 // in request order. Requests whose canonical programs coincide — same
-// canonical pattern, profile, and explain spelling — collapse onto one
+// canonical pattern, profile, and explain flag — collapse onto one
 // evaluation: the first occurrence (the leader) is evaluated, the rest
 // clone its result (re-echoing their own pattern spelling and adding
 // their own CPU estimate), so an optimizer batch re-costing one plan
 // shape under many CPU estimates pays for a single grid point. The
 // pool spawns at most worker-pool-many goroutines (not one per request
 // — a maximal batch would otherwise allocate hundreds of thousands of
-// stacks); the semaphore inside Evaluate keeps the bound global across
-// concurrent batches.
+// stacks); the semaphore every cache miss takes keeps the bound global
+// across concurrent batches.
 func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 	results := make([]*EvalResult, len(reqs))
 
-	// Dedup prepass: parse and canonicalize each request, electing the
-	// first request of every distinct result key as its leader.
+	// Dedup prepass: parse and canonicalize each request once, electing
+	// the first request of every distinct result key as its leader.
 	// Requests that fail to parse resolve here (their error result is
 	// exactly what Evaluate would return) and never reach the pool.
+	type parsed struct {
+		p          costmodel.Pattern
+		canon, key string
+	}
 	leader := make(map[string]int, len(reqs))
 	followOf := make([]int, len(reqs))
-	spelling := make([]string, len(reqs))
+	parses := make([]parsed, len(reqs))
 	var leaders []int
 	for i := range reqs {
 		followOf[i] = -1
@@ -312,8 +318,8 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 			results[i] = errRes
 			continue
 		}
-		key := s.resultKey(reqs[i], p, canon)
-		spelling[i] = p.String()
+		key := s.resultKey(reqs[i], canon)
+		parses[i] = parsed{p, canon, key}
 		if li, ok := leader[key]; ok {
 			followOf[i] = li
 			s.batchDedupHits.Add(1)
@@ -335,7 +341,7 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = s.Evaluate(reqs[i])
+				results[i] = s.evaluateParsed(reqs[i], parses[i].p, parses[i].canon, parses[i].key)
 			}
 		}()
 	}
@@ -353,7 +359,7 @@ func (s *Server) EvaluateBatch(reqs []EvalRequest) []*EvalResult {
 			continue
 		}
 		res := results[li].clone()
-		res.Pattern = spelling[i]
+		res.Pattern = parses[i].p.String()
 		res.TotalNS = res.MemoryNS + reqs[i].CPUNS
 		if res.Error == "" {
 			res.Cached = true
@@ -399,22 +405,16 @@ func (s *Server) parseRequest(req EvalRequest) (p costmodel.Pattern, canon strin
 // resultKey is the result-cache (and in-batch dedup) key: the
 // pattern's *canonical* form — region geometries embedded, ⊕
 // flattened, ⊙ operands sorted — so any two spellings of the same
-// access behaviour share an entry. Two exclusions keep the entry
-// request-agnostic: CPUNS, because T_cpu is pure addition on top of
-// the memory-side result (Eq. 6.1), so re-costing one pattern under
-// varying CPU estimates — the optimizer's common case — stays a cache
-// hit (it is applied after the cache); and the pattern echo, which is
-// rewritten to each request's spelling on every hit. Explained results
-// are the exception: the per-node breakdown follows the spelling's
-// tree shape, so the key also carries the parsed rendering. The
-// registry version invalidates entries when a profile name is
-// re-registered.
-func (s *Server) resultKey(req EvalRequest, p costmodel.Pattern, canon string) string {
-	key := fmt.Sprintf("v%d|%q|%s|%t", s.reg.Version(), req.Profile, canon, req.Explain)
-	if req.Explain {
-		key += "|" + p.String()
-	}
-	return key
+// access behaviour share an entry, explained or not (Explain itemizes
+// the canonical tree). Two exclusions keep the entry request-agnostic:
+// CPUNS, because T_cpu is pure addition on top of the memory-side
+// result (Eq. 6.1), so re-costing one pattern under varying CPU
+// estimates — the optimizer's common case — stays a cache hit (it is
+// applied after the cache); and the pattern echo, which is rewritten
+// to each request's spelling on every hit. The registry version
+// invalidates entries when a profile name is re-registered.
+func (s *Server) resultKey(req EvalRequest, canon string) string {
+	return fmt.Sprintf("v%d|%q|%s|%t", s.reg.Version(), req.Profile, canon, req.Explain)
 }
 
 // Evaluate evaluates one request, consulting the result cache first.
@@ -425,7 +425,12 @@ func (s *Server) Evaluate(req EvalRequest) *EvalResult {
 	if errRes != nil {
 		return errRes
 	}
-	key := s.resultKey(req, p, canon)
+	return s.evaluateParsed(req, p, canon, s.resultKey(req, canon))
+}
+
+// evaluateParsed is Evaluate after parsing: p is the request's parsed
+// pattern, canon its canonical form and key its result key.
+func (s *Server) evaluateParsed(req EvalRequest, p costmodel.Pattern, canon, key string) *EvalResult {
 	res, cached := (*EvalResult)(nil), false
 	if s.cache != nil {
 		if hit, ok := s.cache.get(key); ok {
@@ -664,7 +669,7 @@ func (s *Server) ResultCacheStats() ResultCacheStats {
 // BatchDedupStats reports the in-batch dedup counters (also exposed on
 // /healthz): Hits count batch requests that collapsed onto another
 // request of the same batch — same canonical program, profile, and
-// explain spelling — and were served by cloning its result; Misses
+// explain flag — and were served by cloning its result; Misses
 // count the batch leaders that were evaluated (or served from the
 // result cache) on the pool.
 type BatchDedupStats struct {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
 	"repro/pkg/costmodel"
@@ -503,8 +504,8 @@ func TestResultCacheCanonicalKey(t *testing.T) {
 		t.Errorf("cached hit echoed the other request's pattern: %q", b.Pattern)
 	}
 
-	// Explained results follow the spelling's tree shape, so the two
-	// spellings must NOT share an explained cache entry.
+	// Explained results itemize the canonical tree, so the two
+	// spellings share one explained cache entry with identical rows.
 	ea := srv.Evaluate(server.EvalRequest{
 		Profile: "origin2000", Regions: regions,
 		Pattern: "s_trav(U) (.) r_trav(V)", Explain: true,
@@ -516,11 +517,14 @@ func TestResultCacheCanonicalKey(t *testing.T) {
 	if ea.Error != "" || eb.Error != "" {
 		t.Fatalf("explain requests failed: %+v / %+v", ea, eb)
 	}
-	if eb.Cached {
-		t.Error("explained result shared a cache entry across spellings")
+	if ea.Cached || !eb.Cached {
+		t.Errorf("explained results did not share one cache entry across spellings: cached %t, %t", ea.Cached, eb.Cached)
 	}
-	if len(eb.Explain) < 3 || eb.Explain[1].Pattern == ea.Explain[1].Pattern {
-		t.Errorf("explain breakdown not spelling-specific: %+v vs %+v", ea.Explain, eb.Explain)
+	if len(eb.Explain) != 3 || !reflect.DeepEqual(ea.Explain, eb.Explain) {
+		t.Errorf("explain rows differ across spellings: %+v vs %+v", ea.Explain, eb.Explain)
+	}
+	if eb.Pattern != "r_trav(V) (.) s_trav(U)" {
+		t.Errorf("cached explained hit echoed %q, want its own spelling", eb.Pattern)
 	}
 }
 
