@@ -23,6 +23,7 @@ package pattern
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/region"
@@ -353,6 +354,9 @@ func Validate(p Pattern) error {
 func validateBasic(r *region.Region, u, repeats, count int64) error {
 	if r == nil {
 		return fmt.Errorf("pattern: nil region")
+	}
+	if r.W > 0 && r.N > math.MaxInt64/r.W {
+		return fmt.Errorf("pattern: region %s of %d×%d bytes overflows int64", r.Name, r.N, r.W)
 	}
 	if u < 0 || u > r.W {
 		return fmt.Errorf("pattern: u=%d outside [0,%d] for region %s", u, r.W, r.Name)

@@ -118,6 +118,7 @@ func TestValidateRejectsBadPatterns(t *testing.T) {
 		Conc{},
 		Seq{STrav{R: nil}},
 		Conc{RAcc{R: u, Count: -1}},
+		STrav{R: region.New("O", 1<<62, 8)}, // size overflows int64
 	}
 	for _, p := range bad {
 		if err := Validate(p); err == nil {

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/cachesim"
 	"repro/internal/engine"
+	"repro/internal/queryplan"
 	"repro/internal/vmem"
 	"repro/internal/workload"
 )
@@ -48,29 +49,43 @@ func (e *Executor) MaterializeJoinInputs(u, v Relation, seed uint64) (*engine.Ta
 	return ut, vt
 }
 
-// RunJoin executes the plan's algorithm on the materialized inputs and
-// returns (matches, measured memory time in ns).
-func (e *Executor) RunJoin(p Plan, ut, vt *engine.Table, outCap int64) (int64, float64, error) {
-	out := engine.NewTable(e.Mem, "W", outCap, ut.W(), 32)
+// RunJoin executes the root join of a plan tree on the materialized
+// inputs — children in tree order, looked up by relation name — and
+// returns (matches, measured memory time in ns). The output table is
+// sized from the tree's output estimate.
+func (e *Executor) RunJoin(t *queryplan.Plan, tables map[string]*engine.Table) (int64, float64, error) {
+	if t.Kind != queryplan.OpJoin {
+		return 0, 0, fmt.Errorf("planner: plan %s is not a join", t.Signature())
+	}
+	l, r := tables[t.Children[0].Rel.Name], tables[t.Children[1].Rel.Name]
+	if l == nil || r == nil {
+		return 0, 0, fmt.Errorf("planner: plan %s joins an unmaterialized input", t.Signature())
+	}
+	out := engine.NewTable(e.Mem, "W", t.Out.Tuples, t.Out.Width, 32)
 	e.Sim.Reset()
 	e.Sim.Thaw()
 	defer e.Sim.Freeze()
 	var matches int64
-	switch p.Algorithm {
+	switch t.Algorithm {
 	case NestedLoopJoin:
-		matches = engine.NestedLoopJoin(ut, vt, out)
+		matches = engine.NestedLoopJoin(l, r, out)
 	case MergeJoin:
-		matches = engine.MergeJoin(ut, vt, out)
+		matches = engine.MergeJoin(l, r, out)
 	case SortMergeJoin:
-		engine.QuickSort(ut)
-		engine.QuickSort(vt)
-		matches = engine.MergeJoin(ut, vt, out)
+		engine.QuickSort(l)
+		engine.QuickSort(r)
+		matches = engine.MergeJoin(l, r, out)
 	case HashJoin:
-		matches = engine.HashJoin(e.Mem, ut, vt, out)
+		// Build on the smaller input, as the lowered pattern does.
+		build, probe := r, l
+		if l.N() < r.N() {
+			build, probe = l, r
+		}
+		matches = engine.HashJoin(e.Mem, probe, build, out)
 	case PartitionedHashJoin:
-		matches = engine.PartitionedHashJoin(e.Mem, ut, vt, out, p.Fanout, engine.HashPartition)
+		matches = engine.PartitionedHashJoin(e.Mem, l, r, out, t.Fanout, engine.HashPartition)
 	default:
-		return 0, 0, fmt.Errorf("planner: cannot execute %s", p.Algorithm)
+		return 0, 0, fmt.Errorf("planner: cannot execute %s", t.Algorithm)
 	}
 	return matches, e.Sim.MemoryTimeNS(), nil
 }

@@ -1,28 +1,24 @@
 // Package planner is a miniature cost-based physical optimizer built on
 // the paper's cost model — the consumer the model was designed for. A
-// logical operation (join, sort, group-by, distinct) plus the logical
-// data volumes (cardinalities and widths, which the paper assumes a
-// perfect oracle provides) is expanded into candidate physical plans;
-// each candidate's data access pattern is evaluated by the cost model on
-// the target hardware; the cheapest plan wins.
-//
-// The planner can also execute the chosen plan on the simulated engine,
-// so tests can verify that the predicted ranking matches measured
-// reality.
+// logical query (relations, a join graph, an optional aggregate,
+// distinct or order-by) plus the logical data volumes (cardinalities
+// and widths, which the paper assumes a perfect oracle provides) is
+// searched for its physical plans by internal/queryplan; each plan's
+// compound data access pattern is compiled once into the cost IR and
+// evaluated on the target hardware; the cheapest plan wins. A single
+// operator is a 1-relation (aggregate, distinct) or 2-relation (join)
+// query.
 package planner
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/cost"
 	"repro/internal/costir"
-	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/queryplan"
-	"repro/internal/region"
 )
 
 // Relation describes an input's logical properties. The type lives in
@@ -47,13 +43,15 @@ const (
 	SortDistinct        = queryplan.SortDistinct
 )
 
-// Candidate is one enumerated physical alternative before costing: the
-// algorithm, its access pattern compiled once into the flat cost IR,
+// Candidate is one searched physical plan before costing: the plan
+// signature, its access pattern compiled once into the flat cost IR,
 // and the hardware-independent CPU estimate. A candidate can be scored
 // on any number of hardware profiles (ScoreOn) without re-compiling —
 // the cross-profile what-if loop an optimizer or a fleet-placement
 // service runs per plan.
 type Candidate struct {
+	// Algorithm holds the plan signature (join order, join
+	// algorithms, grouping variant).
 	Algorithm Algorithm
 	Pattern   pattern.Pattern
 	// Compiled is the pattern's flat-IR program, shared by every
@@ -114,19 +112,18 @@ func (p Plan) String() string {
 		p.Algorithm, p.TotalNS()/1e6, p.MemNS/1e6, p.CPUNS/1e6)
 }
 
-// Planner enumerates candidate plans (compiled once into the cost IR)
+// Planner searches candidate plans (compiled once into the cost IR)
 // and costs them, by default on its own hardware profile; ScoreOn
 // re-scores the same candidates on any other profile.
 type Planner struct {
 	hier *hardware.Hierarchy
-	// cpu holds per-tuple CPU cost constants (ns); see DefaultCPU.
-	cpu CPUCosts
 }
 
 // CPUCosts are the per-tuple T_cpu constants per algorithm step.
 type CPUCosts = queryplan.CPUCosts
 
 // DefaultCPU returns constants in line with the experiments package.
+// Every plan the planner prices uses them.
 func DefaultCPU() CPUCosts { return queryplan.DefaultCPU() }
 
 // New creates a planner for the hierarchy; the hierarchy must
@@ -135,11 +132,8 @@ func New(h *hardware.Hierarchy) (*Planner, error) {
 	if _, err := cost.New(h); err != nil {
 		return nil, err
 	}
-	return &Planner{hier: h, cpu: DefaultCPU()}, nil
+	return &Planner{hier: h}, nil
 }
-
-// SetCPUCosts overrides the CPU constants.
-func (pl *Planner) SetCPUCosts(c CPUCosts) { pl.cpu = c }
 
 // minCapacity returns the smallest cache capacity (quick-sort pruning).
 func (pl *Planner) minCapacity() int64 {
@@ -150,211 +144,4 @@ func (pl *Planner) minCapacity() int64 {
 		}
 	}
 	return min
-}
-
-// candidateFanouts for partitioned algorithms: around the TLB entry
-// count and L1/L2 line budgets.
-func (pl *Planner) candidateFanouts() []int64 {
-	return []int64{16, 64, 256}
-}
-
-// newCandidate compiles a pattern once and wraps it as a Candidate —
-// the single construction path every enumerator below goes through.
-func newCandidate(alg Algorithm, p pattern.Pattern, fanout int64, cpu float64) (Candidate, error) {
-	prog, err := costir.Compile(p)
-	if err != nil {
-		return Candidate{}, fmt.Errorf("planner: compiling %s candidate: %w", alg, err)
-	}
-	return Candidate{Algorithm: alg, Pattern: p, Compiled: prog, Fanout: fanout, CPUNS: cpu}, nil
-}
-
-// JoinCandidates enumerates the physical alternatives of an equi-join
-// U ⋈ V with the given estimated output cardinality, compiling each
-// candidate's access pattern exactly once. Cost nothing yet: pass the
-// result to ScoreOn for each hardware profile of interest.
-func (pl *Planner) JoinCandidates(u, v Relation, outTuples int64) ([]Candidate, error) {
-	ur, vr := u.Region(), v.Region()
-	out := region.New("W", outTuples, u.Width)
-	nU, nV := float64(u.Tuples), float64(v.Tuples)
-	var cands []Candidate
-
-	add := func(alg Algorithm, p pattern.Pattern, fanout int64, cpu float64) error {
-		c, err := newCandidate(alg, p, fanout, cpu)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, c)
-		return nil
-	}
-
-	// Nested loop: always applicable.
-	if err := add(NestedLoopJoin,
-		engine.NestedLoopJoinPattern(ur, vr, out), 0,
-		pl.cpu.Compare*nU*nV+pl.cpu.Move*float64(outTuples)); err != nil {
-		return nil, err
-	}
-
-	// Merge join: directly if both sorted, else behind explicit sorts.
-	if u.Sorted && v.Sorted {
-		if err := add(MergeJoin,
-			engine.MergeJoinPattern(ur, vr, out), 0,
-			pl.cpu.Compare*(nU+nV)+pl.cpu.Move*float64(outTuples)); err != nil {
-			return nil, err
-		}
-	} else {
-		sortCPU := func(n float64) float64 {
-			if n < 2 {
-				return 0
-			}
-			return pl.cpu.Compare * 2 * n * math.Ceil(math.Log2(n))
-		}
-		seq := pattern.Seq{}
-		var cpu float64
-		if !u.Sorted {
-			seq = append(seq, engine.QuickSortPattern(ur, pl.minCapacity()))
-			cpu += sortCPU(nU)
-		}
-		if !v.Sorted {
-			seq = append(seq, engine.QuickSortPattern(vr, pl.minCapacity()))
-			cpu += sortCPU(nV)
-		}
-		seq = append(seq, engine.MergeJoinPattern(ur, vr, out))
-		cpu += pl.cpu.Compare*(nU+nV) + pl.cpu.Move*float64(outTuples)
-		if err := add(SortMergeJoin, seq, 0, cpu); err != nil {
-			return nil, err
-		}
-	}
-
-	// Hash join (build on the smaller input).
-	build, probe := vr, ur
-	if u.Tuples < v.Tuples {
-		build, probe = ur, vr
-	}
-	h := engine.HashRegionFor("H", build.N)
-	if err := add(HashJoin,
-		engine.HashJoinPattern(probe, build, h, out), 0,
-		pl.cpu.Hash*(nU+nV)+pl.cpu.Move*float64(outTuples)); err != nil {
-		return nil, err
-	}
-
-	// Partitioned hash join over candidate fan-outs.
-	for _, m := range pl.candidateFanouts() {
-		if m*8 > u.Tuples || m*8 > v.Tuples {
-			continue // degenerate clusters
-		}
-		p := engine.PartitionedHashJoinPattern(ur, vr, out, m)
-		cpu := pl.cpu.Partition*(nU+nV) + pl.cpu.Hash*(nU+nV) + pl.cpu.Move*float64(outTuples)
-		if err := add(PartitionedHashJoin, p, m, cpu); err != nil {
-			return nil, err
-		}
-	}
-	return cands, nil
-}
-
-// JoinPlans enumerates and costs the physical alternatives of an
-// equi-join U ⋈ V on the planner's own hierarchy, sorted cheapest
-// first.
-func (pl *Planner) JoinPlans(u, v Relation, outTuples int64) ([]Plan, error) {
-	cands, err := pl.JoinCandidates(u, v, outTuples)
-	if err != nil {
-		return nil, err
-	}
-	return ScoreOn(pl.hier, cands), nil
-}
-
-// BestJoin returns the cheapest join plan.
-func (pl *Planner) BestJoin(u, v Relation, outTuples int64) (Plan, error) {
-	plans, err := pl.JoinPlans(u, v, outTuples)
-	if err != nil {
-		return Plan{}, err
-	}
-	return plans[0], nil
-}
-
-// AggregateCandidates enumerates hash- vs sort-based grouping of u
-// into `groups` result groups, compiling each pattern once.
-func (pl *Planner) AggregateCandidates(u Relation, groups int64) ([]Candidate, error) {
-	ur := u.Region()
-	n := float64(u.Tuples)
-	agg := engine.AggRegionFor("A", groups)
-	var cands []Candidate
-
-	add := func(alg Algorithm, p pattern.Pattern, cpu float64) error {
-		c, err := newCandidate(alg, p, 0, cpu)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, c)
-		return nil
-	}
-
-	if err := add(HashAggregate, engine.HashAggregatePattern(ur, agg), pl.cpu.Hash*n); err != nil {
-		return nil, err
-	}
-
-	out := region.New("G", groups, u.Width)
-	sortPat := pattern.Seq{
-		engine.QuickSortPattern(ur, pl.minCapacity()),
-		pattern.Conc{pattern.STrav{R: ur}, pattern.STrav{R: out}},
-	}
-	sortCPU := 0.0
-	if n >= 2 {
-		sortCPU = pl.cpu.Compare * 2 * n * math.Ceil(math.Log2(n))
-	}
-	if err := add(SortAggregate, sortPat, sortCPU+pl.cpu.Compare*n); err != nil {
-		return nil, err
-	}
-	return cands, nil
-}
-
-// AggregatePlans costs hash- vs sort-based grouping of u into `groups`
-// result groups on the planner's hierarchy, sorted cheapest first.
-func (pl *Planner) AggregatePlans(u Relation, groups int64) ([]Plan, error) {
-	cands, err := pl.AggregateCandidates(u, groups)
-	if err != nil {
-		return nil, err
-	}
-	return ScoreOn(pl.hier, cands), nil
-}
-
-// DistinctCandidates enumerates hash- vs sort-based duplicate
-// elimination with the given estimated distinct count, compiling each
-// pattern once.
-func (pl *Planner) DistinctCandidates(u Relation, distinct int64) ([]Candidate, error) {
-	ur := u.Region()
-	n := float64(u.Tuples)
-	h := engine.HashRegionFor("H", u.Tuples)
-	out := region.New("D", distinct, u.Width)
-	var cands []Candidate
-
-	add := func(alg Algorithm, p pattern.Pattern, cpu float64) error {
-		c, err := newCandidate(alg, p, 0, cpu)
-		if err != nil {
-			return err
-		}
-		cands = append(cands, c)
-		return nil
-	}
-
-	if err := add(HashDistinct, engine.HashDedupPattern(ur, h, out), pl.cpu.Hash*n); err != nil {
-		return nil, err
-	}
-	sortCPU := 0.0
-	if n >= 2 {
-		sortCPU = pl.cpu.Compare * 2 * n * math.Ceil(math.Log2(n))
-	}
-	if err := add(SortDistinct, engine.SortDedupPattern(ur, out, pl.minCapacity()), sortCPU+pl.cpu.Compare*n); err != nil {
-		return nil, err
-	}
-	return cands, nil
-}
-
-// DistinctPlans costs hash- vs sort-based duplicate elimination on the
-// planner's hierarchy, sorted cheapest first.
-func (pl *Planner) DistinctPlans(u Relation, distinct int64) ([]Plan, error) {
-	cands, err := pl.DistinctCandidates(u, distinct)
-	if err != nil {
-		return nil, err
-	}
-	return ScoreOn(pl.hier, cands), nil
 }

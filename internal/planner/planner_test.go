@@ -3,7 +3,9 @@ package planner
 import (
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hardware"
+	"repro/internal/queryplan"
 )
 
 func newPlanner(t *testing.T) *Planner {
@@ -15,34 +17,82 @@ func newPlanner(t *testing.T) *Planner {
 	return pl
 }
 
-func TestJoinPlansEnumerated(t *testing.T) {
-	pl := newPlanner(t)
-	u := Relation{Name: "U", Tuples: 100000, Width: 16}
-	v := Relation{Name: "V", Tuples: 100000, Width: 16}
-	plans, err := pl.JoinPlans(u, v, 100000)
+// join2 is the 2-relation equi-join U ⋈ V on a 1:1 key match: the
+// output estimate is |V| tuples of the concatenated widths minus the
+// shared key.
+func join2(u, v Relation) queryplan.Query {
+	return queryplan.Query{
+		Relations: []Relation{u, v},
+		Joins:     []queryplan.JoinEdge{{Left: 0, Right: 1, Selectivity: 1 / float64(u.Tuples)}},
+	}
+}
+
+// allPlans searches q with pruning disabled, so every physical
+// alternative reaches the ranking.
+func allPlans(t *testing.T, pl *Planner, q queryplan.Query) []CostedTree {
+	t.Helper()
+	costed, err := pl.QueryCostedTreesSearch(q, SearchOptions{TopK: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) < 4 {
-		t.Fatalf("only %d candidate plans", len(plans))
+	if len(costed) == 0 {
+		t.Fatal("no plans")
 	}
+	return costed
+}
+
+// rootAlgorithms is the set of algorithms the plans' root operators use.
+func rootAlgorithms(costed []CostedTree) map[Algorithm]bool {
 	seen := map[Algorithm]bool{}
-	for _, p := range plans {
-		seen[p.Algorithm] = true
-		if p.TotalNS() <= 0 {
-			t.Errorf("%s has non-positive cost", p.Algorithm)
+	for _, ct := range costed {
+		seen[ct.Tree.Algorithm] = true
+	}
+	return seen
+}
+
+// bestAlgorithm returns the root algorithm of q's cheapest plan under
+// the default search.
+func bestAlgorithm(t *testing.T, pl *Planner, q queryplan.Query) Algorithm {
+	t.Helper()
+	costed, err := pl.QueryCostedTreesSearch(q, SearchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return costed[0].Tree.Algorithm
+}
+
+func TestJoinAlgorithmsEnumerated(t *testing.T) {
+	pl := newPlanner(t)
+	u := Relation{Name: "U", Tuples: 100000, Width: 16}
+	v := Relation{Name: "V", Tuples: 100000, Width: 16}
+	costed := allPlans(t, pl, join2(u, v))
+	for _, ct := range costed {
+		if ct.Plan.TotalNS() <= 0 {
+			t.Errorf("%s has non-positive cost", ct.Plan.Algorithm)
 		}
 	}
-	for _, alg := range []Algorithm{NestedLoopJoin, SortMergeJoin, HashJoin, PartitionedHashJoin} {
+	seen := rootAlgorithms(costed)
+	for _, alg := range []Algorithm{SortMergeJoin, HashJoin, PartitionedHashJoin} {
 		if !seen[alg] {
 			t.Errorf("missing candidate %s", alg)
 		}
 	}
+	// Quadratic CPU: no nested loop once both inputs exceed
+	// queryplan.DefaultNLJMaxInner tuples.
+	if seen[NestedLoopJoin] {
+		t.Error("nested loop offered for a 100k x 100k join")
+	}
 	// Plans sorted cheapest-first.
-	for i := 1; i < len(plans); i++ {
-		if plans[i].TotalNS() < plans[i-1].TotalNS() {
+	for i := 1; i < len(costed); i++ {
+		if costed[i].Plan.TotalNS() < costed[i-1].Plan.TotalNS() {
 			t.Error("plans not sorted by cost")
 		}
+	}
+
+	// A small inner relation brings the nested loop back.
+	small := Relation{Name: "S", Tuples: queryplan.DefaultNLJMaxInner, Width: 16}
+	if !rootAlgorithms(allPlans(t, pl, join2(u, small)))[NestedLoopJoin] {
+		t.Error("nested loop not offered for a 1024-tuple inner")
 	}
 }
 
@@ -50,101 +100,78 @@ func TestMergeJoinOfferedForSortedInputs(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 50000, Width: 8, Sorted: true}
 	v := Relation{Name: "V", Tuples: 50000, Width: 8, Sorted: true}
-	plans, err := pl.JoinPlans(u, v, 50000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hasMerge, hasSortMerge bool
-	for _, p := range plans {
-		hasMerge = hasMerge || p.Algorithm == MergeJoin
-		hasSortMerge = hasSortMerge || p.Algorithm == SortMergeJoin
-	}
-	if !hasMerge {
+	seen := rootAlgorithms(allPlans(t, pl, join2(u, v)))
+	if !seen[MergeJoin] {
 		t.Error("merge join not offered for sorted inputs")
 	}
-	if hasSortMerge {
+	if seen[SortMergeJoin] {
 		t.Error("redundant sort-merge join offered for sorted inputs")
 	}
 }
 
-func TestBestJoinPrefersMergeWhenSorted(t *testing.T) {
+func TestJoinPrefersMergeWhenSorted(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 20, Width: 8, Sorted: true}
 	v := Relation{Name: "V", Tuples: 1 << 20, Width: 8, Sorted: true}
-	best, err := pl.BestJoin(u, v, 1<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Algorithm != MergeJoin {
-		t.Errorf("best = %s, want merge join for pre-sorted 8MB inputs", best.Algorithm)
+	if best := bestAlgorithm(t, pl, join2(u, v)); best != MergeJoin {
+		t.Errorf("best = %s, want merge join for pre-sorted 8MB inputs", best)
 	}
 }
 
-func TestBestJoinAvoidsNestedLoopForLargeInputs(t *testing.T) {
+func TestJoinAvoidsNestedLoopForLargeInputs(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 18, Width: 16}
 	v := Relation{Name: "V", Tuples: 1 << 18, Width: 16}
-	best, err := pl.BestJoin(u, v, 1<<18)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Algorithm == NestedLoopJoin {
+	if best := bestAlgorithm(t, pl, join2(u, v)); best == NestedLoopJoin {
 		t.Error("nested loop chosen for 256k x 256k join")
 	}
 }
 
-func TestBestJoinCrossover(t *testing.T) {
-	// The headline claim: plain hash join wins while its hash table fits
-	// L2; partitioned hash join wins once it does not.
+func TestJoinCrossover(t *testing.T) {
+	// The headline claim (Fig. 7e): plain hash join wins while its hash
+	// table fits L2; partitioned hash join wins once it does not.
 	pl := newPlanner(t)
 	small := Relation{Name: "U", Tuples: 1 << 14, Width: 16} // H = 512kB ≤ 4MB
-	bestSmall, err := pl.BestJoin(small, Relation{Name: "V", Tuples: 1 << 14, Width: 16}, 1<<14)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestSmall.Algorithm != HashJoin {
-		t.Errorf("small join best = %s, want plain hash join", bestSmall.Algorithm)
+	if best := bestAlgorithm(t, pl, join2(small, Relation{Name: "V", Tuples: 1 << 14, Width: 16})); best != HashJoin {
+		t.Errorf("small join best = %s, want plain hash join", best)
 	}
 	big := Relation{Name: "U", Tuples: 1 << 21, Width: 16} // H = 64MB >> 4MB
-	bestBig, err := pl.BestJoin(big, Relation{Name: "V", Tuples: 1 << 21, Width: 16}, 1<<21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bestBig.Algorithm != PartitionedHashJoin {
-		t.Errorf("big join best = %s, want partitioned hash join", bestBig.Algorithm)
+	if best := bestAlgorithm(t, pl, join2(big, Relation{Name: "V", Tuples: 1 << 21, Width: 16})); best != PartitionedHashJoin {
+		t.Errorf("big join best = %s, want partitioned hash join", best)
 	}
 }
 
-func TestAggregatePlans(t *testing.T) {
+func TestAggregateChoosesHashForFewGroups(t *testing.T) {
 	pl := newPlanner(t)
-	u := Relation{Name: "U", Tuples: 1 << 18, Width: 8}
-	plans, err := pl.AggregatePlans(u, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plans) != 2 {
-		t.Fatalf("got %d aggregate plans", len(plans))
+	q := queryplan.Query{Relations: []Relation{{Name: "U", Tuples: 1 << 18, Width: 8}}, GroupBy: 1024}
+	costed := allPlans(t, pl, q)
+	if len(costed) != 2 {
+		t.Fatalf("got %d aggregate plans", len(costed))
 	}
 	// Few groups: the aggregate table is cache-resident, hashing must
 	// beat sort-everything.
-	if plans[0].Algorithm != HashAggregate {
-		t.Errorf("best aggregate = %s, want hash (1k groups)", plans[0].Algorithm)
+	if got := costed[0].Tree.Algorithm; got != HashAggregate {
+		t.Errorf("best aggregate = %s, want hash (1k groups)", got)
+	}
+	if got := costed[1].Tree.Algorithm; got != SortAggregate {
+		t.Errorf("runner-up aggregate = %s, want sort", got)
 	}
 }
 
-func TestDistinctPlans(t *testing.T) {
+func TestDistinctVariants(t *testing.T) {
 	pl := newPlanner(t)
-	u := Relation{Name: "U", Tuples: 1 << 16, Width: 8}
-	plans, err := pl.DistinctPlans(u, 1<<10)
-	if err != nil {
-		t.Fatal(err)
+	q := queryplan.Query{Relations: []Relation{{Name: "U", Tuples: 1 << 16, Width: 8}}, Distinct: 1 << 10}
+	costed := allPlans(t, pl, q)
+	if len(costed) != 2 {
+		t.Fatalf("got %d distinct plans", len(costed))
 	}
-	if len(plans) != 2 {
-		t.Fatalf("got %d distinct plans", len(plans))
+	seen := rootAlgorithms(costed)
+	if !seen[HashDistinct] || !seen[SortDistinct] {
+		t.Errorf("distinct plans %v, want the hash and sort variants", seen)
 	}
-	for _, p := range plans {
-		if p.TotalNS() <= 0 {
-			t.Errorf("%s non-positive cost", p.Algorithm)
+	for _, ct := range costed {
+		if ct.Plan.TotalNS() <= 0 {
+			t.Errorf("%s non-positive cost", ct.Plan.Algorithm)
 		}
 	}
 }
@@ -156,7 +183,7 @@ func TestPlanString(t *testing.T) {
 	}
 }
 
-// TestPlannerRankingMatchesSimulation executes the top candidates of a
+// TestPlannerRankingMatchesSimulation executes the candidate plans of a
 // join on the simulated engine and verifies the predicted winner indeed
 // measures fastest — the end-to-end claim of the paper.
 func TestPlannerRankingMatchesSimulation(t *testing.T) {
@@ -166,31 +193,39 @@ func TestPlannerRankingMatchesSimulation(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 1 << 17, Width: 8} // 1MB inputs, H=4MB boundary
 	v := Relation{Name: "V", Tuples: 1 << 17, Width: 8}
-	plans, err := pl.JoinPlans(u, v, u.Tuples)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Execute every plan except quadratic nested loop.
+	costed := allPlans(t, pl, join2(u, v))
 	type outcome struct {
-		alg    Algorithm
+		sig    string
 		predNS float64
 		measNS float64
 	}
 	var outcomes []outcome
-	for _, p := range plans {
-		if p.Algorithm == NestedLoopJoin {
+	type variant struct {
+		alg    Algorithm
+		fanout int64
+	}
+	executed := map[variant]bool{}
+	for _, ct := range costed {
+		// Mirror join orders of equal-sized inputs price identically;
+		// execute each physical variant once.
+		k := variant{ct.Tree.Algorithm, ct.Tree.Fanout}
+		if executed[k] {
 			continue
 		}
+		executed[k] = true
 		ex := NewExecutor(pl, 256<<20)
 		ut, vt := ex.MaterializeJoinInputs(u, v, 11)
-		matches, measNS, err := ex.RunJoin(p, ut, vt, u.Tuples)
+		matches, measNS, err := ex.RunJoin(ct.Tree, map[string]*engine.Table{"U": ut, "V": vt})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if matches != u.Tuples {
-			t.Fatalf("%s: %d matches, want %d", p.Algorithm, matches, u.Tuples)
+			t.Fatalf("%s: %d matches, want %d", ct.Plan.Algorithm, matches, u.Tuples)
 		}
-		outcomes = append(outcomes, outcome{p.Algorithm, p.MemNS, measNS})
+		outcomes = append(outcomes, outcome{string(ct.Plan.Algorithm), ct.Plan.MemNS, measNS})
+	}
+	if len(outcomes) < 3 {
+		t.Fatalf("only %d plans executed", len(outcomes))
 	}
 	// The predicted-cheapest executed plan must also measure cheapest
 	// (within 10% slack for near-ties).
@@ -203,24 +238,25 @@ func TestPlannerRankingMatchesSimulation(t *testing.T) {
 			bestMeas = o
 		}
 	}
-	if bestPred.alg != bestMeas.alg && bestPred.measNS > bestMeas.measNS*1.10 {
+	if bestPred.sig != bestMeas.sig && bestPred.measNS > bestMeas.measNS*1.10 {
 		t.Errorf("predicted winner %s (measured %.1fms) but %s measured %.1fms",
-			bestPred.alg, bestPred.measNS/1e6, bestMeas.alg, bestMeas.measNS/1e6)
+			bestPred.sig, bestPred.measNS/1e6, bestMeas.sig, bestMeas.measNS/1e6)
 	}
 	for _, o := range outcomes {
-		t.Logf("%-22s pred %8.1fms meas %8.1fms", o.alg, o.predNS/1e6, o.measNS/1e6)
+		t.Logf("%-22s pred %8.1fms meas %8.1fms", o.sig, o.predNS/1e6, o.measNS/1e6)
 	}
 }
 
 // TestCandidatesCompiledOnce certifies the compile-once contract: the
 // same candidate set re-scored across hardware profiles reuses the
 // compiled programs by identity, and scoring on the planner's own
-// profile reproduces JoinPlans exactly.
+// profile reproduces QueryPlansSearch exactly.
 func TestCandidatesCompiledOnce(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 200000, Width: 16}
 	v := Relation{Name: "V", Tuples: 100000, Width: 16}
-	cands, err := pl.JoinCandidates(u, v, u.Tuples)
+	so := SearchOptions{TopK: -1}
+	cands, err := pl.QueryCandidatesSearch(join2(u, v), so)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,16 +287,16 @@ func TestCandidatesCompiledOnce(t *testing.T) {
 		}
 	}
 
-	direct, err := pl.JoinPlans(u, v, u.Tuples)
+	direct, err := pl.QueryPlansSearch(join2(u, v), so)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(direct) != len(onOrigin) {
-		t.Fatalf("JoinPlans %d plans, ScoreOn %d", len(direct), len(onOrigin))
+		t.Fatalf("QueryPlansSearch %d plans, ScoreOn %d", len(direct), len(onOrigin))
 	}
 	for i := range direct {
 		if direct[i].Algorithm != onOrigin[i].Algorithm || direct[i].MemNS != onOrigin[i].MemNS {
-			t.Errorf("plan %d: JoinPlans %v/%g != ScoreOn %v/%g",
+			t.Errorf("plan %d: QueryPlansSearch %v/%g != ScoreOn %v/%g",
 				i, direct[i].Algorithm, direct[i].MemNS, onOrigin[i].Algorithm, onOrigin[i].MemNS)
 		}
 	}
@@ -278,20 +314,20 @@ func TestCandidatesCompiledOnce(t *testing.T) {
 	}
 }
 
-// TestAggregateAndDistinctCandidates covers the other two enumerators'
-// candidate paths.
-func TestAggregateAndDistinctCandidates(t *testing.T) {
+// TestSingleRelationCandidates covers the 1-relation aggregate and
+// distinct queries' candidate paths: two variants each, re-scored
+// cheapest first on another profile.
+func TestSingleRelationCandidates(t *testing.T) {
 	pl := newPlanner(t)
 	u := Relation{Name: "U", Tuples: 100000, Width: 16}
-	ac, err := pl.AggregateCandidates(u, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, err := pl.DistinctCandidates(u, 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, cands := range [][]Candidate{ac, dc} {
+	for _, q := range []queryplan.Query{
+		{Relations: []Relation{u}, GroupBy: 512},
+		{Relations: []Relation{u}, Distinct: 5000},
+	} {
+		cands, err := pl.QueryCandidatesSearch(q, SearchOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(cands) != 2 {
 			t.Fatalf("got %d candidates, want 2", len(cands))
 		}

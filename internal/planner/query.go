@@ -5,24 +5,23 @@ import (
 	"sort"
 
 	"repro/internal/costir"
+	"repro/internal/pattern"
 	"repro/internal/queryplan"
 )
 
-// Plan-level planning: where JoinCandidates and friends rank the
-// physical alternatives of a single operator, the Query entry points
-// rank whole query plans — join order plus an algorithm choice per
-// operator — by lowering each queryplan.Plan to one compound pattern
-// (Eq. 5.2 threads cache state across the operators) and compiling it
-// once into the cost IR. The resulting Candidates re-score across
-// hardware profiles through the same ScoreOn every single-operator
-// candidate uses; Candidate.Algorithm carries the plan signature.
+// Plan-level planning: the Query entry points rank whole query plans —
+// join order plus an algorithm choice per operator — by lowering each
+// queryplan.Plan to one compound pattern (Eq. 5.2 threads cache state
+// across the operators) and compiling it once into the cost IR. The
+// resulting Candidates re-score across hardware profiles through
+// ScoreOn; Candidate.Algorithm carries the plan signature.
 //
 // The search layer is the two-phase DP optimizer (see
 // internal/queryplan/dp.go and docs/optimizer.md): phase 1 prunes the
 // plan space with memoized, context-free subplan bounds; the exact
 // lowering + IR evaluation here is phase 2, so the surviving plans are
 // ranked bit-compatibly with the paper's algebra. SearchOptions select
-// the DP search (default) or the exhaustive left-deep oracle.
+// the DP search (the zero value) or the exhaustive left-deep oracle.
 
 // SearchOptions tune the plan-space search (strategy, memo top-k,
 // bushy on/off); the zero value is the DP search with defaults.
@@ -36,13 +35,6 @@ const (
 	SearchDP         = queryplan.SearchDP
 	SearchExhaustive = queryplan.SearchExhaustive
 )
-
-// QueryCandidates enumerates the physical plans of a logical query with
-// the default search (DP, bushy, DefaultTopK), lowers each to its
-// compound access pattern, and compiles it exactly once.
-func (pl *Planner) QueryCandidates(q queryplan.Query) ([]Candidate, error) {
-	return pl.QueryCandidatesSearch(q, SearchOptions{})
-}
 
 // QueryCandidatesSearch enumerates the physical plans of a logical
 // query with the given search options (DP over connected subgraphs by
@@ -73,7 +65,7 @@ type candidateTrees struct {
 
 func (pl *Planner) queryCandidateTrees(q queryplan.Query, so SearchOptions) (candidateTrees, error) {
 	plans, err := queryplan.Search(q, queryplan.Options{
-		CPU:        pl.cpu,
+		CPU:        DefaultCPU(),
 		PruneBytes: pl.minCapacity(),
 		Search:     so,
 	}, pl.hier)
@@ -86,9 +78,9 @@ func (pl *Planner) queryCandidateTrees(q queryplan.Query, so SearchOptions) (can
 	}
 	seen := make(map[string]bool, len(plans))
 	for _, p := range plans {
-		pat, cpuNS, err := p.Lower(pl.cpu, pl.minCapacity())
+		pat, cpuNS, err := pl.lower(p)
 		if err != nil {
-			return candidateTrees{}, fmt.Errorf("planner: lowering plan %s: %w", p.Signature(), err)
+			return candidateTrees{}, err
 		}
 		canon, err := costir.CanonicalKey(pat)
 		if err != nil {
@@ -99,7 +91,7 @@ func (pl *Planner) queryCandidateTrees(q queryplan.Query, so SearchOptions) (can
 			continue
 		}
 		seen[key] = true
-		c, err := newCandidate(Algorithm(p.Signature()), pat, p.Fanout, cpuNS)
+		c, err := newCandidate(p, pat, cpuNS)
 		if err != nil {
 			return candidateTrees{}, err
 		}
@@ -109,17 +101,33 @@ func (pl *Planner) queryCandidateTrees(q queryplan.Query, so SearchOptions) (can
 	return cs, nil
 }
 
-// QueryPlans enumerates (default search) and costs the physical plans
-// of q on the planner's own hierarchy, sorted cheapest first.
-// Plan.Algorithm holds the plan signature (join order, join algorithms,
-// grouping variant).
-func (pl *Planner) QueryPlans(q queryplan.Query) ([]Plan, error) {
-	return pl.QueryPlansSearch(q, SearchOptions{})
+// lower lowers a plan tree to its compound access pattern and CPU
+// estimate, pruning quick-sort recursion at the planner's smallest
+// cache capacity. Searched plans (after dedup) and re-scored plans
+// both go through lower and then newCandidate.
+func (pl *Planner) lower(t *queryplan.Plan) (pattern.Pattern, float64, error) {
+	pat, cpuNS, err := t.Lower(DefaultCPU(), pl.minCapacity())
+	if err != nil {
+		return nil, 0, fmt.Errorf("planner: lowering plan %s: %w", t.Signature(), err)
+	}
+	return pat, cpuNS, nil
+}
+
+// newCandidate compiles a lowered plan once and wraps it as a
+// Candidate.
+func newCandidate(t *queryplan.Plan, pat pattern.Pattern, cpuNS float64) (Candidate, error) {
+	prog, err := costir.Compile(pat)
+	if err != nil {
+		return Candidate{}, fmt.Errorf("planner: compiling plan %s: %w", t.Signature(), err)
+	}
+	return Candidate{Algorithm: Algorithm(t.Signature()), Pattern: pat, Compiled: prog, Fanout: t.Fanout, CPUNS: cpuNS}, nil
 }
 
 // QueryPlansSearch enumerates with the given search options and costs
 // the surviving plans on the planner's own hierarchy, sorted cheapest
 // first — the exact phase-2 re-cost of the DP optimizer.
+// Plan.Algorithm holds the plan signature (join order, join
+// algorithms, grouping variant).
 func (pl *Planner) QueryPlansSearch(q queryplan.Query, so SearchOptions) ([]Plan, error) {
 	costed, err := pl.QueryCostedTreesSearch(q, so)
 	if err != nil {
@@ -160,35 +168,25 @@ func (pl *Planner) QueryCostedTreesSearch(q queryplan.Query, so SearchOptions) (
 // trees on the planner's own hierarchy, returning one costed Plan per
 // tree in input order — no search, no dedup, no sorting. This is the
 // plan cache's re-validation primitive: cached recipes re-bound to a
-// drifted query are re-scored here in microseconds each (the IR
-// evaluator's price) instead of re-running the plan-space search.
+// drifted query are re-scored here instead of re-running the
+// plan-space search. Every plan is recompiled and evaluated, so this
+// is not microseconds: in the serving benchmark's plan-drift workload
+// a revalidation averages 26 ms on a 2-vCPU Xeon VM, 95% of it here
+// re-scoring five re-bound plans (perfbench/README.md).
 func (pl *Planner) ScoreQueryPlans(trees []*queryplan.Plan) ([]Plan, error) {
 	out := make([]Plan, len(trees))
 	for i, t := range trees {
-		pat, cpuNS, err := t.Lower(pl.cpu, pl.minCapacity())
+		pat, cpuNS, err := pl.lower(t)
 		if err != nil {
-			return nil, fmt.Errorf("planner: lowering plan %s: %w", t.Signature(), err)
+			return nil, err
 		}
-		prog, err := costir.Compile(pat)
+		c, err := newCandidate(t, pat, cpuNS)
 		if err != nil {
-			return nil, fmt.Errorf("planner: compiling plan %s: %w", t.Signature(), err)
+			return nil, err
 		}
-		out[i] = Plan{
-			Algorithm: Algorithm(t.Signature()),
-			Pattern:   pat,
-			Compiled:  prog,
-			Fanout:    t.Fanout,
-			MemNS:     prog.MemoryTimeNS(pl.hier),
-			CPUNS:     cpuNS,
-		}
+		out[i] = c.PlanOn(pl.hier)
 	}
 	return out, nil
-}
-
-// BestQueryPlan returns the cheapest plan for q on the planner's
-// hierarchy under the default search.
-func (pl *Planner) BestQueryPlan(q queryplan.Query) (Plan, error) {
-	return pl.BestQueryPlanSearch(q, SearchOptions{})
 }
 
 // BestQueryPlanSearch returns the cheapest plan for q on the planner's

@@ -66,7 +66,7 @@ func TestQueryPlansSortedAndRescorable(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := testQuery()
-	plans, err := pl.QueryPlans(q)
+	plans, err := pl.QueryPlansSearch(q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,17 +75,17 @@ func TestQueryPlansSortedAndRescorable(t *testing.T) {
 			t.Fatalf("plans not sorted at %d: %g < %g", i, plans[i].TotalNS(), plans[i-1].TotalNS())
 		}
 	}
-	best, err := pl.BestQueryPlan(q)
+	best, err := pl.BestQueryPlanSearch(q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if best.Algorithm != plans[0].Algorithm {
-		t.Errorf("BestQueryPlan %s != QueryPlans[0] %s", best.Algorithm, plans[0].Algorithm)
+		t.Errorf("BestQueryPlanSearch %s != QueryPlansSearch[0] %s", best.Algorithm, plans[0].Algorithm)
 	}
 
 	// The same candidates re-score on another profile without
 	// recompiling (the cross-profile what-if loop).
-	cands, err := pl.QueryCandidates(q)
+	cands, err := pl.QueryCandidatesSearch(q, SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestQueryCandidatesInvalidQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.QueryCandidates(queryplan.Query{}); err == nil {
+	if _, err := pl.QueryCandidatesSearch(queryplan.Query{}, SearchOptions{}); err == nil {
 		t.Fatal("invalid query accepted")
 	}
 	if _, err := pl.QueryCandidatesSearch(testQuery(), SearchOptions{Strategy: "anneal"}); err == nil {

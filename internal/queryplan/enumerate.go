@@ -38,7 +38,10 @@ const (
 	DefaultMaxPlans    = 4096
 )
 
-// DefaultFanouts mirrors the planner's partitioned-hash-join fan-outs.
+// DefaultFanouts are the partitioned-hash-join fan-outs every search
+// offers — around the TLB entry count and the L1/L2 line budgets. They
+// are the only source of fan-outs: every plan-pricing path, single
+// joins included, searches through this package.
 func DefaultFanouts() []int64 { return []int64{16, 64, 256} }
 
 func (o Options) normalized() Options {

@@ -75,12 +75,12 @@ func computeGolden(t *testing.T, profile string, sc queryplan.Scenario) goldenFi
 	if err != nil {
 		t.Fatalf("planner.New(%s): %v", profile, err)
 	}
-	plans, err := pl.QueryPlans(sc.Query)
+	plans, err := pl.QueryPlansSearch(sc.Query, planner.SearchOptions{})
 	if err != nil {
-		t.Fatalf("QueryPlans(%s): %v", sc.Name, err)
+		t.Fatalf("QueryPlansSearch(%s): %v", sc.Name, err)
 	}
 	if len(plans) == 0 {
-		t.Fatalf("QueryPlans(%s): no plans", sc.Name)
+		t.Fatalf("QueryPlansSearch(%s): no plans", sc.Name)
 	}
 	best := plans[0]
 	g := goldenFile{Scenario: sc.Name, Profile: profile, Plans: len(plans)}

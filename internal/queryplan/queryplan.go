@@ -170,6 +170,9 @@ func (q Query) Validate() error {
 			return fmt.Errorf("queryplan: relation %s: want tuples > 0 and width ≥ %d, got %d×%d",
 				r.Name, engine.KeyWidth, r.Tuples, r.Width)
 		}
+		if r.Tuples > math.MaxInt64/r.Width {
+			return fmt.Errorf("queryplan: relation %s: %d×%d bytes overflows int64", r.Name, r.Tuples, r.Width)
+		}
 	}
 	if q.Filters != nil && len(q.Filters) != len(q.Relations) {
 		return fmt.Errorf("queryplan: %d filters for %d relations", len(q.Filters), len(q.Relations))

@@ -30,6 +30,7 @@ func TestValidate(t *testing.T) {
 		{"no name", Query{Relations: []Relation{{Tuples: 10, Width: 16}}}},
 		{"zero tuples", Query{Relations: []Relation{{Name: "U", Width: 16}}}},
 		{"narrow width", Query{Relations: []Relation{{Name: "U", Tuples: 10, Width: engine.KeyWidth - 1}}}},
+		{"size overflows int64", Query{Relations: []Relation{{Name: "U", Tuples: 1 << 60, Width: 64}}}},
 		{"filter count", Query{Relations: []Relation{{Name: "U", Tuples: 10, Width: 16}}, Filters: []float64{0.5, 0.5}}},
 		{"filter range", Query{Relations: []Relation{{Name: "U", Tuples: 10, Width: 16}}, Filters: []float64{1.5}}},
 		{"projection wide", Query{Relations: []Relation{{Name: "U", Tuples: 10, Width: 16}}, Projections: []int64{17}}},

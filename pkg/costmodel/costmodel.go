@@ -21,11 +21,13 @@
 // pattern-tree node.
 //
 // On top of the model, NewPlanner exposes a miniature cost-based
-// optimizer (join/aggregate/distinct algorithm choice, plus
-// whole-query planning via Planner.QueryCandidates — see package
-// repro/pkg/costmodel/scenario for the plan-level catalog and
-// PricePlan/BestPlan), and package repro/pkg/costmodel/server serves
-// batched evaluations and plan pricing over HTTP.
+// optimizer: whole-query planning (join order plus an algorithm choice
+// per operator) via Planner.QueryCandidatesSearch, where a single
+// join, aggregate or distinct is a 1- or 2-relation query — see
+// package repro/pkg/costmodel/scenario for the query type, the
+// plan-level catalog and PricePlan/BestPlan. Package
+// repro/pkg/costmodel/server serves batched evaluations and plan
+// pricing over HTTP.
 // Package repro/pkg/costmodel/calibrate discovers an unknown machine's
 // hierarchy and registers it as a profile (the paper's Calibrator,
 // Section 7), and repro/pkg/costmodel/validate sweeps every operator

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/hardware"
 	"repro/pkg/costmodel"
+	"repro/pkg/costmodel/scenario"
 )
 
 // TestFacadeParity pins the facade to the internal implementation: a
@@ -141,34 +142,41 @@ func TestRegistryRejectsInvalid(t *testing.T) {
 	}
 }
 
-// TestPlannerFacade exercises the planner entry points end to end: the
-// ranking must be sound (sorted by total time) and the crossover from
-// the paper must show up (partitioned hash join beats nested loop for
-// large inputs).
-func TestPlannerFacade(t *testing.T) {
-	pl, err := costmodel.NewPlanner(costmodel.Origin2000())
-	if err != nil {
-		t.Fatal(err)
+// join2 is the 2-relation equi-join U ⋈ V on a 1:1 key match.
+func join2(u, v costmodel.Relation) scenario.Query {
+	return scenario.Query{
+		Relations: []scenario.Relation{u, v},
+		Joins:     []scenario.JoinEdge{{Left: 0, Right: 1, Selectivity: 1 / float64(u.Tuples)}},
 	}
+}
+
+// TestPlannerFacade exercises the planner entry points end to end on a
+// 2-relation query: the ranking must be sound (sorted by total time)
+// and the crossover from the paper must show up (partitioned hash join
+// beats nested loop for large inputs).
+func TestPlannerFacade(t *testing.T) {
 	u := costmodel.Relation{Name: "U", Tuples: 1 << 20, Width: 16}
 	v := costmodel.Relation{Name: "V", Tuples: 1 << 20, Width: 16}
-	plans, err := pl.JoinPlans(u, v, 1<<20)
+	ranked, err := scenario.PricePlanTreesSearch(costmodel.Origin2000(), join2(u, v), scenario.SearchOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plans) < 3 {
-		t.Fatalf("want ≥3 candidate plans, got %d", len(plans))
+	if len(ranked) < 3 {
+		t.Fatalf("want ≥3 candidate plans, got %d", len(ranked))
 	}
-	for i := 1; i < len(plans); i++ {
-		if plans[i].TotalNS() < plans[i-1].TotalNS() {
-			t.Errorf("plans not sorted: %v before %v", plans[i-1], plans[i])
+	for i := 1; i < len(ranked); i++ {
+		if ranked[i].Plan.TotalNS() < ranked[i-1].Plan.TotalNS() {
+			t.Errorf("plans not sorted: %v before %v", ranked[i-1].Plan, ranked[i].Plan)
 		}
 	}
-	best, err := pl.BestJoin(u, v, 1<<20)
+	best, err := scenario.BestPlan(costmodel.Origin2000(), join2(u, v))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if best.Algorithm == costmodel.NestedLoopJoin {
+	if best.Algorithm != ranked[0].Plan.Algorithm {
+		t.Errorf("BestPlan %s != ranking head %s", best.Algorithm, ranked[0].Plan.Algorithm)
+	}
+	if ranked[0].Tree.Algorithm == costmodel.NestedLoopJoin {
 		t.Errorf("nested loop chosen for 1M⋈1M: %v", best)
 	}
 	if math.IsNaN(best.TotalNS()) || best.TotalNS() <= 0 {
@@ -279,13 +287,9 @@ func TestCanonicalPattern(t *testing.T) {
 // TestScorePlansAcrossProfiles: candidates enumerate+compile once and
 // re-score on any registered profile.
 func TestScorePlansAcrossProfiles(t *testing.T) {
-	pl, err := costmodel.NewPlanner(costmodel.Origin2000())
-	if err != nil {
-		t.Fatal(err)
-	}
 	u := costmodel.Relation{Name: "U", Tuples: 200000, Width: 16}
 	v := costmodel.Relation{Name: "V", Tuples: 100000, Width: 16}
-	cands, err := pl.JoinCandidates(u, v, u.Tuples)
+	cands, err := scenario.Candidates(costmodel.Origin2000(), join2(u, v))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,18 +3,20 @@ package costmodel
 import "repro/internal/planner"
 
 // Planner surface: a miniature cost-based physical optimizer built on
-// the model — the consumer the paper designed the model for. Given
-// logical data volumes it enumerates candidate physical plans, costs
-// each one's access pattern, and ranks them cheapest first.
+// the model — the consumer the paper designed the model for. Given a
+// logical query and its data volumes it searches the physical plans,
+// costs each one's access pattern, and ranks them cheapest first.
 //
-// Beyond single operators, Planner.QueryCandidates / QueryPlans /
-// BestQueryPlan rank whole query plans (join tree plus an algorithm
-// choice per operator) for a logical query, searched by the two-phase
-// DP optimizer — memoized connected subgraphs, bushy trees, top-k
-// pruning, exact re-cost of the survivors (docs/optimizer.md). The
-// *Search variants take SearchOptions (strategy, top-k, bushy on/off);
-// package repro/pkg/costmodel/scenario wraps those with a ready-made
-// scenario catalog.
+// Planner.QueryCandidatesSearch / QueryPlansSearch /
+// BestQueryPlanSearch rank whole query plans (join tree plus an
+// algorithm choice per operator), searched by the two-phase DP
+// optimizer — memoized connected subgraphs, bushy trees, top-k
+// pruning, exact re-cost of the survivors (docs/optimizer.md).
+// SearchOptions tune the search (strategy, top-k, bushy on/off); the
+// zero value is the default. A single operator's algorithm choice is
+// a 1-relation query (aggregate, distinct) or a 2-relation query
+// (join). Package repro/pkg/costmodel/scenario wraps these entry
+// points with the query type and a ready-made scenario catalog.
 type (
 	// Planner costs candidate plans on one hardware profile.
 	Planner = planner.Planner
@@ -48,9 +50,9 @@ const (
 
 // ScorePlans costs every candidate on the hierarchy from its compiled
 // program (no re-compilation) and returns the plans sorted cheapest
-// first. Use Planner.JoinCandidates / AggregateCandidates /
-// DistinctCandidates to enumerate, then score the same candidates
-// across as many profiles as needed.
+// first. Enumerate with Planner.QueryCandidatesSearch (or
+// scenario.Candidates), then score the same candidates across as many
+// profiles as needed.
 func ScorePlans(h *Hierarchy, cands []Candidate) []Plan { return planner.ScoreOn(h, cands) }
 
 // The planner's physical algorithm inventory, re-exported.

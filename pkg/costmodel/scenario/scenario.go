@@ -26,6 +26,7 @@
 package scenario
 
 import (
+	"repro/internal/planner"
 	"repro/internal/queryplan"
 	"repro/pkg/costmodel"
 )
@@ -168,12 +169,9 @@ func BindRecipe(r *Recipe, q Query, fp Fingerprint) (*Plan, error) {
 	return r.Bind(q, fp)
 }
 
-// PricedPlan pairs one costed ranking entry with the physical plan
-// tree it was lowered from.
-type PricedPlan struct {
-	Plan costmodel.Plan
-	Tree *Plan
-}
+// PricedPlan pairs one costed ranking entry (Plan) with the physical
+// plan tree it was lowered from (Tree).
+type PricedPlan = planner.CostedTree
 
 // PricePlanTreesSearch is PricePlanSearch keeping each ranking entry's
 // plan tree — the raw material for recipes: search once, extract
@@ -184,22 +182,16 @@ func PricePlanTreesSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) ([]
 	if err != nil {
 		return nil, err
 	}
-	costed, err := pl.QueryCostedTreesSearch(q, so)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]PricedPlan, len(costed))
-	for i, ct := range costed {
-		out[i] = PricedPlan{Plan: ct.Plan, Tree: ct.Tree}
-	}
-	return out, nil
+	return pl.QueryCostedTreesSearch(q, so)
 }
 
 // RescorePlans lowers, compiles and costs the given plan trees on the
 // hierarchy, one result per tree in input order — no search, no dedup,
-// no sorting. Each call prices at IR-evaluator speed (microseconds per
-// plan), which is what makes parameter-drift re-validation of cached
-// recipes ~1000x cheaper than a DP re-search.
+// no sorting. This is what parameter-drift re-validation of cached
+// recipes runs instead of a DP re-search. Each plan costs a
+// costir.Compile plus an IR evaluation: in the serving benchmark's
+// plan-drift workload a revalidation averages 26 ms on a 2-vCPU Xeon
+// VM, 95% of it re-scoring five re-bound plans (perfbench/README.md).
 func RescorePlans(h *costmodel.Hierarchy, trees []*Plan) ([]costmodel.Plan, error) {
 	pl, err := costmodel.NewPlanner(h)
 	if err != nil {

@@ -178,3 +178,64 @@ func TestHealthzCountersCanonicalEquivalence(t *testing.T) {
 			h3.ResultCache.Entries, h3.CompileCache.Entries)
 	}
 }
+
+// TestOverflowingSizesRejected: a region or relation whose byte size
+// (items × width) overflows int64 is rejected with 400 on both
+// endpoints — never priced off a wrapped size — and leaves no cache
+// entry behind.
+func TestOverflowingSizesRejected(t *testing.T) {
+	shapes := []struct{ n, w int64 }{{1 << 62, 8}, {1 << 60, 64}, {1 << 40, 1 << 24}}
+	s, ts := newTestServer(t, server.Config{})
+	for _, sh := range shapes {
+		resp, body := postJSON(t, ts.URL+"/v1/evaluate", server.EvalRequest{
+			Profile: "origin2000",
+			Regions: []server.RegionDecl{{Name: "R", Items: sh.n, Width: sh.w}},
+			Pattern: "s_trav(R)",
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/evaluate %d×%d: status %d, want 400: %s", sh.n, sh.w, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "overflows int64") {
+			t.Errorf("/v1/evaluate %d×%d: error does not name the overflow: %s", sh.n, sh.w, body)
+		}
+
+		resp, body = postJSON(t, ts.URL+"/v1/plan", server.PlanRequest{
+			Profile: "origin2000",
+			Query: &server.PlanQuery{
+				Relations: []server.PlanRelation{{Name: "A", Tuples: sh.n, Width: sh.w}, {Name: "B", Tuples: 1000, Width: 16}},
+				Joins:     []server.PlanJoin{{Left: 0, Right: 1, Selectivity: 1e-3}},
+			},
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("/v1/plan %d×%d: status %d, want 400: %s", sh.n, sh.w, resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "overflows int64") {
+			t.Errorf("/v1/plan %d×%d: error does not name the overflow: %s", sh.n, sh.w, body)
+		}
+	}
+	// Valid inputs whose join output (2^62 tuples) overflows: the error
+	// surfaces from compiling the plan, not as a price. The inputs are
+	// key-ordered so the search prices no quick-sort of them.
+	half := server.PlanRelation{Tuples: 1 << 31, Width: 16, Sorted: true}
+	a, b := half, half
+	a.Name, b.Name = "A", "B"
+	resp, body := postJSON(t, ts.URL+"/v1/plan", server.PlanRequest{
+		Profile: "origin2000",
+		Query: &server.PlanQuery{
+			Relations: []server.PlanRelation{a, b},
+			Joins:     []server.PlanJoin{{Left: 0, Right: 1, Selectivity: 1}},
+		},
+	})
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "overflows int64") {
+		t.Errorf("/v1/plan overflowing join output: status %d, want 400 naming the overflow: %s", resp.StatusCode, body)
+	}
+	if n := s.ResultCacheStats().Entries; n != 0 {
+		t.Errorf("result cache holds %d entries after rejected requests", n)
+	}
+	if n := s.CompileCacheStats().Entries; n != 0 {
+		t.Errorf("compile cache holds %d entries after rejected requests", n)
+	}
+	if n := s.PlanCacheStats().Entries; n != 0 {
+		t.Errorf("plan cache holds %d entries after rejected requests", n)
+	}
+}

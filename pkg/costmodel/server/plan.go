@@ -21,8 +21,8 @@ import (
 // a catalog scenario — share one entry. A cached entry stores the
 // ranking together with relabelable plan recipes; when a same-shape
 // request arrives with drifted numeric parameters, the recipes are
-// re-bound and re-scored with the IR evaluator (microseconds per plan)
-// and the cached answer is served as long as its winner keeps the top
+// re-bound and re-scored (recompiled and IR-evaluated, milliseconds per
+// plan) and the cached answer is served as long as its winner keeps the top
 // spot — only a dethroned winner triggers a full plan-space re-search.
 // See docs/serving.md.
 
@@ -290,7 +290,7 @@ func (s *Server) servePlanFromCache(res *PlanResponse, req PlanRequest, entry *p
 	}
 
 	// Parameter drift: re-bind and re-score the cached winner plus its
-	// closest rivals with the IR evaluator (microseconds per plan) and
+	// closest rivals (recompiled and IR-evaluated, milliseconds per plan) and
 	// serve the cached answer only if the winner holds the top spot.
 	h, err := s.reg.Profile(req.Profile)
 	if err != nil {
