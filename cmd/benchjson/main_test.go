@@ -69,3 +69,36 @@ func TestCheckValidateFile(t *testing.T) {
 		t.Error("missing file accepted")
 	}
 }
+
+// -check gates every pattern's tree-vs-IR speedup against its floor
+// and fails when a gated pattern is missing.
+func TestCheckAcceptance(t *testing.T) {
+	passing := func() Report {
+		var rep Report
+		for _, c := range checkMinSpeedups {
+			rep.Speedups = append(rep.Speedups, Speedup{Pattern: c.pattern, Speedup: 2 * c.min})
+		}
+		return rep
+	}
+	ok := passing()
+	if err := ok.checkAcceptance(); err != nil {
+		t.Fatalf("passing report rejected: %v", err)
+	}
+	for i, c := range checkMinSpeedups {
+		slow := passing()
+		slow.Speedups[i].Speedup = c.min * 0.9
+		if err := slow.checkAcceptance(); err == nil || !strings.Contains(err.Error(), c.pattern) {
+			t.Errorf("%s below its floor: error %v", c.pattern, err)
+		}
+		missing := passing()
+		missing.Speedups = append(missing.Speedups[:i:i], missing.Speedups[i+1:]...)
+		if err := missing.checkAcceptance(); err == nil || !strings.Contains(err.Error(), "no "+c.pattern) {
+			t.Errorf("%s missing: error %v", c.pattern, err)
+		}
+	}
+	allocating := passing()
+	allocating.Benchmarks = []Benchmark{{Name: "Evaluate/ir/quicksort", AllocsPerOp: 1}}
+	if err := allocating.checkAcceptance(); err == nil || !strings.Contains(err.Error(), "want 0") {
+		t.Errorf("allocating IR benchmark: error %v", err)
+	}
+}

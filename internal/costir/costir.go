@@ -21,14 +21,21 @@
 //     state merges are all order-independent), and don't-care fields
 //     normalized. Two patterns with the same canonical form compile to
 //     the same program, which makes the canonical string a correct
-//     interning key for compile caches (see CanonicalKey).
+//     interning key for compile caches (see CanonicalKey). The string
+//     is rendered once, in one pass, into a buffer of its exact
+//     length; only ⊙ operands get keys of their own, because the ⊙
+//     sort compares them.
 //   - Region deduplication: regions are identified by canonical
 //     identity — name, item count, item width, and parent chain — not
 //     by pointer. Structurally identical *region.Region values that
 //     were allocated separately fold into one dense index, so cache
 //     state becomes a preallocated []float64 instead of a
 //     map[*region.Region]float64, and a ⊕-fold over two copies of the
-//     "same" region no longer maintains divergent states.
+//     "same" region no longer maintains divergent states. Regions are
+//     interned by (name, N, W, parent identity) in one memo shared by
+//     canonicalization and compilation, and each region gets a
+//     preorder interval over the region forest so the evaluator tests
+//     ancestry by comparison rather than by walking parent chains.
 //   - Flattening: the pattern tree becomes one linear instruction
 //     array (basic-pattern opcodes plus ⊙ bracket markers) and one
 //     linear footprint program, both walked without recursion or
@@ -44,7 +51,7 @@ package costir
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -74,17 +81,18 @@ const (
 
 // instr is one IR instruction. Basic-pattern instructions carry the
 // pattern parameters with the region resolved to its dense index;
-// opConc carries the footprint-slot range of its children.
+// opConc carries the footprint-slot range of its children. Fields run
+// from widest to narrowest, which packs an instruction into 64 bytes.
 type instr struct {
-	Op    op
-	Reg   int32 // basic: region index; opConc: first footprint slot
-	N     int32 // opConc: child count
 	U     int64 // bytes used per item (resolved, 0 < U ≤ W)
 	A     int64 // repeats (rs/rr_trav), access count (r_acc), per-cursor count (nest)
 	M     int64 // nest: sub-region count
 	Dir   pattern.Direction
 	Order pattern.Order
 	Inner pattern.InnerKind
+	Reg   int32 // basic: region index; opConc: first footprint slot
+	N     int32 // opConc: child count
+	Op    op
 	NoSeq bool
 }
 
@@ -117,10 +125,16 @@ type RegionInfo struct {
 	// chains matter for residency inheritance and state merging), or
 	// -1 for a root region.
 	Parent int32
+	// pre and end bound the region's subtree in the preorder numbering
+	// of the region forest (setIntervals).
+	pre, end int32
 }
 
 // Size returns ‖R‖ = N·W in bytes.
 func (ri RegionInfo) Size() int64 { return ri.N * ri.W }
+
+// contains reports whether ri is x or an ancestor of x.
+func (ri *RegionInfo) contains(x *RegionInfo) bool { return ri.pre <= x.pre && x.pre < ri.end }
 
 // Program is a compiled pattern: an immutable flat representation safe
 // for concurrent evaluation and for sharing across hardware profiles
@@ -162,115 +176,139 @@ func (p *Program) Regions() []RegionInfo {
 // Compile canonicalizes and compiles a pattern. The pattern must
 // validate (pattern.Validate); the returned program is immutable.
 func Compile(p pattern.Pattern) (*Program, error) {
-	root, err := canonicalTree(p)
-	if err != nil {
+	if err := pattern.Validate(p); err != nil {
 		return nil, err
 	}
-	return compileTree(root), nil
-}
-
-// compileTree lowers a canonical tree into a Program.
-func compileTree(root *cnode) *Program {
-	c := compiler{regIdx: map[string]int32{}}
-	c.emit(root)
-	return &Program{
-		canonical: root.key,
-		regions:   c.regions,
-		instrs:    c.instrs,
-		foot:      c.foot,
-		nSlots:    int(c.nSlots),
-		maxDepth:  c.maxDepth,
-		footDepth: c.footMax,
-		numBasics: c.numBasics,
-	}
+	var c canonizer
+	return c.compile(c.canon(p, map[regionID]int32{})), nil
 }
 
 // CanonicalKey returns the canonical form of p without building the
 // instruction program — the cheap first phase of Compile, for callers
 // that only need a cache key to look up an already-compiled program.
 func CanonicalKey(p pattern.Pattern) (string, error) {
-	root, err := canonicalTree(p)
-	if err != nil {
+	if err := pattern.Validate(p); err != nil {
 		return "", err
 	}
-	return root.key, nil
+	var c canonizer
+	return c.key(c.canon(p, map[regionID]int32{})), nil
 }
 
 // cnode is one node of the canonicalized pattern tree: basic patterns
 // with resolved parameters, or ⊕/⊙ nodes with flattened/sorted
-// children. key is the node's canonical rendering.
+// children. keyLen is the length of the node's canonical rendering;
+// key holds the rendering itself only once something asked for it —
+// a ⊙ operand's key when the ⊙ sort compares it, the root's when the
+// canonical form is rendered.
 type cnode struct {
-	op    op
-	reg   *region.Region
-	u     int64
-	a     int64
-	m     int64
-	dir   pattern.Direction
-	order pattern.Order
-	inner pattern.InnerKind
-	noSeq bool
-	kids  []*cnode
-	key   string
+	op     op
+	reg    *region.Region
+	rid    int32 // canonical region identity (index into canonizer.regs)
+	u      int64
+	a      int64
+	m      int64
+	dir    pattern.Direction
+	order  pattern.Order
+	inner  pattern.InnerKind
+	noSeq  bool
+	kids   []*cnode
+	keyLen int
+	key    string
 }
 
-func canonicalTree(p pattern.Pattern) (*cnode, error) {
-	if err := pattern.Validate(p); err != nil {
-		return nil, err
-	}
-	memo := map[*region.Region]string{}
-	return canon(p, memo), nil
+// canonizer canonicalizes one pattern, and its region table is the one
+// region memo of the compilation: every distinct region identity —
+// name, item count, width and parent identity — is interned once, in
+// the order canonicalization meets it, and the compiler maps these
+// identities to dense indices in emission order. The map from identity
+// to table index is passed to canon as ids rather than held here: as a
+// local of the caller it stays on the stack for small patterns.
+type canonizer struct {
+	regs  []canonRegion
+	byPtr map[*region.Region]int32
+	tail  []byte // rendering scratch
+	// nInstrs and nFoot count the instructions the tree compiles to,
+	// so the compiler allocates its streams once.
+	nInstrs, nFoot int
 }
 
-// regKey renders a region's canonical identity: quoted name, item
-// count, width, and (recursively) the parent chain. Two regions with
-// equal keys are indistinguishable to the cost model.
-func regKey(r *region.Region, memo map[*region.Region]string) string {
-	if k, ok := memo[r]; ok {
-		return k
-	}
-	k := strconv.Quote(r.Name) + "!" + strconv.FormatInt(r.N, 10) + "!" + strconv.FormatInt(r.W, 10)
+// regionID is a region's canonical identity. Two regions with equal
+// identities are indistinguishable to the cost model.
+type regionID struct {
+	name   string
+	n, w   int64
+	parent int32 // identity of the parent region, or -1
+}
+
+type canonRegion struct {
+	id     regionID
+	seg    string // the region's own rendering: quoted name!N!W
+	keyLen int    // length of the full rendering: seg, then "<" and the parent's
+}
+
+// region interns r (and, first, its parent chain) and returns its
+// canonical identity. A root's identity is its own fields; a
+// sub-region's also needs its parent's, so sub-regions are memoized by
+// pointer to resolve each chain once.
+func (c *canonizer) region(r *region.Region, ids map[regionID]int32) int32 {
+	id := regionID{name: r.Name, n: r.N, w: r.W, parent: -1}
 	if r.Parent != nil {
-		k += "<" + regKey(r.Parent, memo)
+		if i, ok := c.byPtr[r]; ok {
+			return i
+		}
+		id.parent = c.region(r.Parent, ids)
 	}
-	memo[r] = k
-	return k
+	i, ok := ids[id]
+	if !ok {
+		i = int32(len(c.regs))
+		b := strconv.AppendQuote(c.tail[:0], r.Name)
+		b = strconv.AppendInt(append(b, '!'), r.N, 10)
+		b = strconv.AppendInt(append(b, '!'), r.W, 10)
+		c.tail = b
+		seg := string(b)
+		keyLen := len(seg)
+		if id.parent >= 0 {
+			keyLen += 1 + c.regs[id.parent].keyLen
+		}
+		c.regs = append(c.regs, canonRegion{id: id, seg: seg, keyLen: keyLen})
+		ids[id] = i
+	}
+	if r.Parent != nil {
+		if c.byPtr == nil {
+			c.byPtr = map[*region.Region]int32{}
+		}
+		c.byPtr[r] = i
+	}
+	return i
 }
 
-func boolKey(b bool) string {
-	if b {
-		return "1"
-	}
-	return "0"
+// basicName is the canonical rendering's name of each basic opcode.
+var basicName = [...]string{opSTrav: "st", opRSTrav: "rst", opRTrav: "rt", opRRTrav: "rrt", opRAcc: "ra", opNest: "nst"}
+
+// basic builds the canonical node of a basic pattern over region r.
+func (c *canonizer) basic(n *cnode, r *region.Region, ids map[regionID]int32) *cnode {
+	n.reg, n.rid = r, c.region(r, ids)
+	c.nInstrs++
+	c.nFoot++
+	c.tail = c.appendTail(c.tail[:0], n)
+	n.keyLen = len(basicName[n.op]) + 1 + c.regs[n.rid].keyLen + len(c.tail)
+	return n
 }
 
 // canon canonicalizes one subtree. It assumes the pattern validated.
-func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
+func (c *canonizer) canon(p pattern.Pattern, ids map[regionID]int32) *cnode {
 	switch q := p.(type) {
 	case pattern.STrav:
-		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opSTrav, reg: q.R, u: u, noSeq: q.NoSeq,
-			key: "st(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" + boolKey(q.NoSeq) + ")"}
+		return c.basic(&cnode{op: opSTrav, u: pattern.Used(q.U, q.R), noSeq: q.NoSeq}, q.R, ids)
 	case pattern.RSTrav:
-		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRSTrav, reg: q.R, u: u, a: q.Repeats, dir: q.Dir, noSeq: q.NoSeq,
-			key: "rst(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Repeats, 10) + ";" + q.Dir.String() + ";" + boolKey(q.NoSeq) + ")"}
+		return c.basic(&cnode{op: opRSTrav, u: pattern.Used(q.U, q.R), a: q.Repeats, dir: q.Dir, noSeq: q.NoSeq}, q.R, ids)
 	case pattern.RTrav:
-		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRTrav, reg: q.R, u: u,
-			key: "rt(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ")"}
+		return c.basic(&cnode{op: opRTrav, u: pattern.Used(q.U, q.R)}, q.R, ids)
 	case pattern.RRTrav:
-		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRRTrav, reg: q.R, u: u, a: q.Repeats,
-			key: "rrt(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Repeats, 10) + ")"}
+		return c.basic(&cnode{op: opRRTrav, u: pattern.Used(q.U, q.R), a: q.Repeats}, q.R, ids)
 	case pattern.RAcc:
-		u := pattern.Used(q.U, q.R)
-		return &cnode{op: opRAcc, reg: q.R, u: u, a: q.Count,
-			key: "ra(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.Count, 10) + ")"}
+		return c.basic(&cnode{op: opRAcc, u: pattern.Used(q.U, q.R), a: q.Count}, q.R, ids)
 	case pattern.Nest:
-		u := pattern.Used(q.U, q.R)
 		// Normalize don't-care fields so spurious differences do not
 		// split cache entries: Count only matters for an r_acc inner
 		// pattern; Order and NoSeq only for an s_trav inner pattern.
@@ -281,10 +319,7 @@ func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
 		if q.Inner != pattern.InnerSTrav {
 			order, noSeq = pattern.OrderRandom, false
 		}
-		return &cnode{op: opNest, reg: q.R, u: u, a: count, m: q.M, order: order, inner: q.Inner, noSeq: noSeq,
-			key: "nst(" + regKey(q.R, memo) + ";" + strconv.FormatInt(u, 10) + ";" +
-				strconv.FormatInt(q.M, 10) + ";" + q.Inner.String() + ";" +
-				strconv.FormatInt(count, 10) + ";" + order.String() + ";" + boolKey(noSeq) + ")"}
+		return c.basic(&cnode{op: opNest, u: pattern.Used(q.U, q.R), a: count, m: q.M, order: order, inner: q.Inner, noSeq: noSeq}, q.R, ids)
 	case pattern.Seq:
 		// ⊕ is associative: flatten nested Seq nodes. (⊙ is *not*
 		// flattened — nested concurrent groups divide the cache
@@ -292,14 +327,16 @@ func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
 		// the IR matches the tree walker exactly.)
 		n := &cnode{op: opSeq}
 		for _, sub := range q {
-			k := canon(sub, memo)
+			k := c.canon(sub, ids)
 			if k.op == opSeq {
 				n.kids = append(n.kids, k.kids...)
+				c.nFoot-- // k's fold is absorbed into n's
 			} else {
 				n.kids = append(n.kids, k)
 			}
 		}
-		n.key = compoundKey("+", n.kids)
+		n.keyLen = compoundLen(n.kids)
+		c.nFoot++
 		return n
 	case pattern.Conc:
 		// ⊙ is commutative: every term of the model (miss sums,
@@ -307,40 +344,140 @@ func canon(p pattern.Pattern, memo map[*region.Region]string) *cnode {
 		// of operand order, so sort children by canonical key.
 		n := &cnode{op: opConc, kids: make([]*cnode, 0, len(q))}
 		for _, sub := range q {
-			n.kids = append(n.kids, canon(sub, memo))
+			n.kids = append(n.kids, c.canon(sub, ids))
 		}
-		sort.SliceStable(n.kids, func(i, j int) bool { return n.kids[i].key < n.kids[j].key })
-		n.key = compoundKey("*", n.kids)
+		slices.SortStableFunc(n.kids, func(a, b *cnode) int { return strings.Compare(c.key(a), c.key(b)) })
+		n.keyLen = compoundLen(n.kids)
+		// Bracket, separators and end; a footprint store per child and
+		// the sum.
+		c.nInstrs += len(n.kids) + 1
+		c.nFoot += len(n.kids) + 1
 		return n
 	default:
 		panic(fmt.Sprintf("costir: unknown pattern type %T", p))
 	}
 }
 
-func compoundKey(opSym string, kids []*cnode) string {
-	var b strings.Builder
-	size := len(opSym) + 2 + len(kids)
+// compoundLen is the rendering length of a ⊕/⊙ node: "+(" or "*(",
+// the children separated by commas, ")".
+func compoundLen(kids []*cnode) int {
+	n := 2 + len(kids)
 	for _, k := range kids {
-		size += len(k.key)
+		n += k.keyLen
 	}
-	b.Grow(size)
-	b.WriteString(opSym)
-	b.WriteByte('(')
-	for i, k := range kids {
-		if i > 0 {
-			b.WriteByte(',')
+	return n
+}
+
+// key returns n's canonical rendering, rendering it on first use in
+// one pass into a buffer of exactly keyLen bytes. A subtree whose key
+// already exists is copied, not re-rendered.
+func (c *canonizer) key(n *cnode) string {
+	if n.key == "" {
+		var b strings.Builder
+		b.Grow(n.keyLen)
+		c.render(&b, n)
+		n.key = b.String()
+	}
+	return n.key
+}
+
+func (c *canonizer) render(b *strings.Builder, n *cnode) {
+	if n.key != "" {
+		b.WriteString(n.key)
+		return
+	}
+	switch n.op {
+	case opSeq, opConc:
+		if n.op == opSeq {
+			b.WriteString("+(")
+		} else {
+			b.WriteString("*(")
 		}
-		b.WriteString(k.key)
+		for i, k := range n.kids {
+			if i > 0 {
+				b.WriteByte(',')
+			}
+			c.render(b, k)
+		}
+		b.WriteByte(')')
+	default:
+		b.WriteString(basicName[n.op])
+		b.WriteByte('(')
+		// The region's identity: quoted name, item count, width, then
+		// "<" and the parent chain's.
+		for r := n.rid; ; {
+			b.WriteString(c.regs[r].seg)
+			if r = c.regs[r].id.parent; r < 0 {
+				break
+			}
+			b.WriteByte('<')
+		}
+		c.tail = c.appendTail(c.tail[:0], n)
+		b.Write(c.tail)
 	}
-	b.WriteByte(')')
-	return b.String()
+}
+
+// appendTail appends the rendering of a basic node's parameters after
+// its region: resolved bytes-used, the opcode's own parameters, ")".
+func (c *canonizer) appendTail(dst []byte, n *cnode) []byte {
+	dst = strconv.AppendInt(append(dst, ';'), n.u, 10)
+	switch n.op {
+	case opSTrav:
+		dst = appendBool(append(dst, ';'), n.noSeq)
+	case opRSTrav:
+		dst = strconv.AppendInt(append(dst, ';'), n.a, 10)
+		dst = append(append(dst, ';'), n.dir.String()...)
+		dst = appendBool(append(dst, ';'), n.noSeq)
+	case opRRTrav, opRAcc:
+		dst = strconv.AppendInt(append(dst, ';'), n.a, 10)
+	case opNest:
+		dst = strconv.AppendInt(append(dst, ';'), n.m, 10)
+		dst = append(append(dst, ';'), n.inner.String()...)
+		dst = strconv.AppendInt(append(dst, ';'), n.a, 10)
+		dst = append(append(dst, ';'), n.order.String()...)
+		dst = appendBool(append(dst, ';'), n.noSeq)
+	}
+	return append(dst, ')')
+}
+
+func appendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, '1')
+	}
+	return append(dst, '0')
+}
+
+// compile lowers a canonical tree into a Program.
+func (c *canonizer) compile(root *cnode) *Program {
+	cc := compiler{
+		cregs:   c.regs,
+		dense:   make([]int32, len(c.regs)),
+		regions: make([]RegionInfo, 0, len(c.regs)),
+		instrs:  make([]instr, 0, c.nInstrs),
+		foot:    make([]footInstr, 0, c.nFoot),
+	}
+	for i := range cc.dense {
+		cc.dense[i] = -1
+	}
+	cc.emit(root)
+	setIntervals(cc.regions)
+	return &Program{
+		canonical: c.key(root),
+		regions:   cc.regions,
+		instrs:    cc.instrs,
+		foot:      cc.foot,
+		nSlots:    int(cc.nSlots),
+		maxDepth:  cc.maxDepth,
+		footDepth: cc.footMax,
+		numBasics: cc.numBasics,
+	}
 }
 
 // compiler lowers a canonical tree into the two instruction streams.
 type compiler struct {
+	cregs   []canonRegion
+	dense   []int32 // canonical region identity -> dense index, -1 until interned
 	regions []RegionInfo
-	regIdx  map[string]int32 // canonical region key -> dense index
-	regMemo map[*region.Region]string
 
 	instrs    []instr
 	foot      []footInstr
@@ -352,23 +489,53 @@ type compiler struct {
 }
 
 // regIndex interns a region (and, first, its ancestor chain) into the
-// dense table, deduplicating by canonical identity.
-func (c *compiler) regIndex(r *region.Region) int32 {
-	if c.regMemo == nil {
-		c.regMemo = map[*region.Region]string{}
+// dense table: indices follow emission order, parents before children.
+func (c *compiler) regIndex(rid int32) int32 {
+	if d := c.dense[rid]; d >= 0 {
+		return d
 	}
-	key := regKey(r, c.regMemo)
-	if idx, ok := c.regIdx[key]; ok {
-		return idx
-	}
+	id := &c.cregs[rid].id
 	parent := int32(-1)
-	if r.Parent != nil {
-		parent = c.regIndex(r.Parent)
+	if id.parent >= 0 {
+		parent = c.regIndex(id.parent)
 	}
-	idx := int32(len(c.regions))
-	c.regions = append(c.regions, RegionInfo{Name: r.Name, N: r.N, W: r.W, Parent: parent})
-	c.regIdx[key] = idx
-	return idx
+	d := int32(len(c.regions))
+	c.regions = append(c.regions, RegionInfo{Name: id.name, N: id.n, W: id.w, Parent: parent})
+	c.dense[rid] = d
+	return d
+}
+
+// setIntervals numbers the region forest in preorder, children in
+// dense-index order, so that region x's subtree is exactly the regions
+// whose pre lies in [x.pre, x.end): ancestry becomes two integer
+// comparisons (RegionInfo.contains) instead of a parent-chain walk.
+// It relies on regIndex's order — every parent precedes its children.
+func setIntervals(regs []RegionInfo) {
+	// Subtree sizes, accumulated in end, children before parents.
+	for i := range regs {
+		regs[i].end = 1
+	}
+	for i := len(regs) - 1; i >= 0; i-- {
+		if p := regs[i].Parent; p >= 0 {
+			regs[p].end += regs[i].end
+		}
+	}
+	// A root takes the next free block of positions, a child the next
+	// free slot in its parent's block; next[x] is x's free slot.
+	next := make([]int32, len(regs))
+	var free int32
+	for i := range regs {
+		r := &regs[i]
+		if r.Parent < 0 {
+			r.pre = free
+			free += r.end
+		} else {
+			r.pre = next[r.Parent]
+			next[r.Parent] += r.end
+		}
+		next[i] = r.pre + 1
+		r.end += r.pre
+	}
 }
 
 func (c *compiler) pushFoot(fi footInstr) {
@@ -415,7 +582,7 @@ func (c *compiler) emit(n *cnode) {
 		c.depth--
 		c.pushFoot(footInstr{Op: fSum, N: int32(len(n.kids))})
 	default:
-		ri := c.regIndex(n.reg)
+		ri := c.regIndex(n.rid)
 		c.instrs = append(c.instrs, instr{
 			Op: n.op, Reg: ri, U: n.u, A: n.a, M: n.m,
 			Dir: n.dir, Order: n.order, Inner: n.inner, NoSeq: n.noSeq,

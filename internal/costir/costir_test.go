@@ -1,10 +1,13 @@
 package costir
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/hardware"
 	"repro/internal/pattern"
 	"repro/internal/region"
@@ -39,15 +42,54 @@ func TestCompileRejectsInvalidPatterns(t *testing.T) {
 	}
 }
 
+// CanonicalKey and Compile render the same canonical form. On the
+// deep sub-region chains of quick sort and the partitioned hash join,
+// the form and the dense region order are pinned by digest: both are
+// cache keys and iteration orders that must not drift.
 func TestCanonicalKeyMatchesCompile(t *testing.T) {
 	u := region.New("U", 1000, 16)
-	p := pattern.Seq{pattern.STrav{R: u}, pattern.RAcc{R: u, Count: 10}}
-	key, err := CanonicalKey(p)
-	if err != nil {
-		t.Fatal(err)
+	big := func(name string) *region.Region { return region.New(name, 1<<20, 16) }
+	cases := []struct {
+		name                  string
+		p                     pattern.Pattern
+		keyDigest, regsDigest string // sha256; empty: not pinned
+	}{
+		{name: "seq", p: pattern.Seq{pattern.STrav{R: u}, pattern.RAcc{R: u, Count: 10}}},
+		{
+			name:       "quicksort-1Mx16B-32KB",
+			p:          engine.QuickSortPattern(big("U"), 32<<10),
+			keyDigest:  "3f81652cb45af8073324b05c155177effc6ffd464fa3cf3d18d1a478a3ecbb88",
+			regsDigest: "02de859bb4056983135fb71c81da9623281a1f525d7ecea7e9f5445029e3b781",
+		},
+		{
+			name:       "partitioned-hash-join-m256",
+			p:          engine.PartitionedHashJoinPattern(big("U"), big("V"), big("W"), 256),
+			keyDigest:  "b990d903f4281e23987c6deea927a045fefdc7a4b6ee659636e95bbc03558cc5",
+			regsDigest: "dd96bd7b79f992e17ada4eec17c7aa69f2bf97e15f528b565406d10fccd0d0a8",
+		},
 	}
-	if got := mustCompile(t, p).Canonical(); got != key {
-		t.Errorf("CanonicalKey = %q, Compile().Canonical() = %q", key, got)
+	for _, tc := range cases {
+		key, err := CanonicalKey(tc.p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := mustCompile(t, tc.p)
+		if got := prog.Canonical(); got != key {
+			t.Errorf("%s: CanonicalKey = %q, Compile().Canonical() = %q", tc.name, key, got)
+		}
+		if tc.keyDigest == "" {
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(key))); got != tc.keyDigest {
+			t.Errorf("%s: canonical form digest %s, want %s", tc.name, got, tc.keyDigest)
+		}
+		h := sha256.New()
+		for _, r := range prog.Regions() {
+			fmt.Fprintf(h, "%q!%d!%d<%d\n", r.Name, r.N, r.W, r.Parent)
+		}
+		if got := fmt.Sprintf("%x", h.Sum(nil)); got != tc.regsDigest {
+			t.Errorf("%s: region table digest %s, want %s", tc.name, got, tc.regsDigest)
+		}
 	}
 }
 

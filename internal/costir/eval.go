@@ -33,10 +33,14 @@ import (
 // programs whose partitioned joins intern hundreds of sub-regions.
 // Iteration follows the lists in ascending index order — the same order
 // a dense scan would visit — so floating-point sums are bit-identical
-// to the reference walker's. All cache levels are computed in a single
-// pass over the instruction stream, and every scratch buffer lives in a
-// pooled evaluator, so steady-state evaluation performs no heap
-// allocation.
+// to the reference walker's. Whether two regions are related (one an
+// ancestor-or-self of the other) is two integer comparisons on their
+// preorder intervals (RegionInfo.contains), so no step walks a
+// sub-region chain: the cost per instruction and per resident entry is
+// independent of how deep quick sort or partitioning nests regions.
+// All cache levels are computed in a single pass over the instruction
+// stream, and every scratch buffer lives in a pooled evaluator, so
+// steady-state evaluation performs no heap allocation.
 
 // Misses is the per-level pair (M^s, M^r) of expected sequential and
 // random misses, shared with internal/cost via internal/costmath.
@@ -128,13 +132,6 @@ type evaluator struct {
 	bndIdx   []int32   // boundRow: candidate indices
 	key      []float64 // boundRow: resident bytes per region index
 	sorter   rowSorter
-	// Generation-stamped marks for concMerge's relatedness test:
-	// ancStamp[r] == gen marks r as ancestor-or-self of a merged
-	// region; mergedStamp[r] == gen marks r as merged. Stamping
-	// replaces per-call clearing.
-	ancStamp    []uint64
-	mergedStamp []uint64
-	gen         uint64
 }
 
 func (p *Program) getEvaluator(nL int) *evaluator {
@@ -172,11 +169,6 @@ func (ev *evaluator) ensure(p *Program, nL int) {
 	}
 	if len(ev.key) < nR {
 		ev.key = make([]float64, nR)
-	}
-	if len(ev.ancStamp) < nR {
-		ev.ancStamp = make([]uint64, nR)
-		ev.mergedStamp = make([]uint64, nR)
-		ev.gen = 0
 	}
 	ev.stateNZ = ensureNZ(ev.stateNZ, capL, nR)
 	if len(ev.frames) < p.maxDepth {
@@ -407,15 +399,8 @@ func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) Misses {
 	row := ev.state[li*nR : (li+1)*nR]
 	reg := &p.regions[in.Reg]
 	u := float64(in.U)
-
-	// Effective resident fraction: the region's own entry, or an
-	// ancestor's (a resident parent implies resident sub-regions).
-	rho := row[in.Reg]
-	for x := reg.Parent; x >= 0; x = p.regions[x].Parent {
-		if row[x] > rho {
-			rho = row[x]
-		}
-	}
+	size := reg.Size()
+	rho, oldBytes := ev.scanRow(p, row, li, reg, size > 0)
 
 	var mi Misses
 	if rho < 1 {
@@ -446,16 +431,44 @@ func (ev *evaluator) evalBasic(p *Program, in *instr, li, nR int) Misses {
 
 	// Result state: the fraction of the region that fits the
 	// (possibly scaled) cache, merged over what survives beside it.
-	if size := reg.Size(); size > 0 {
+	if size > 0 {
 		rhoNew := lv.C / float64(size)
 		if rhoNew > 1 {
 			rhoNew = 1
 		}
-		ev.mergeBasic(p, row, li, lv, in.Reg, rhoNew)
+		ev.mergeBasic(p, row, li, lv, in.Reg, rhoNew, oldBytes)
 	} else {
-		ev.mergeEmpty(p, row, li, lv)
+		ev.mergeEmpty(p, row, li, lv, oldBytes)
 	}
 	return mi
+}
+
+// scanRow makes evalBasic's one pass over a level's resident entries
+// for the instruction's region reg. It returns rho, the effective
+// resident fraction: the largest entry among reg and its ancestors (a
+// resident parent implies resident sub-regions). With supersede — reg
+// has bytes, so its result state replaces every entry overlapping it —
+// the entries related to reg (same region, ancestor or descendant)
+// leave the row here. oldBytes sums the resident bytes of the entries
+// that stay, in ascending index order.
+func (ev *evaluator) scanRow(p *Program, row []float64, li int, reg *RegionInfo, supersede bool) (rho, oldBytes float64) {
+	lst := ev.stateNZ[li]
+	out := lst[:0]
+	for _, r := range lst {
+		x := &p.regions[r]
+		anc := x.contains(reg)
+		if anc && row[r] > rho {
+			rho = row[r]
+		}
+		if supersede && (anc || reg.contains(x)) {
+			row[r] = 0
+			continue
+		}
+		oldBytes += row[r] * float64(x.Size())
+		out = append(out, r)
+	}
+	ev.stateNZ[li] = out
+	return rho, oldBytes
 }
 
 // coldMisses dispatches a basic instruction to its Section-4 formula.
@@ -494,42 +507,13 @@ func isRandomOp(in *instr) bool {
 // mergeBasic merges the single-region state a basic pattern leaves
 // behind with the previous row contents, mirroring the tree walker's
 // mergeState: earlier regions survive as long as the new resident
-// bytes leave room, scaled down proportionally otherwise; entries
-// overlapping the new region (same identity or related through the
-// parent chain) are superseded.
-func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.Level, ri int32, rhoNew float64) {
-	lst := ev.stateNZ[li]
+// bytes leave room, scaled down proportionally otherwise. scanRow has
+// already removed the entries the new region supersedes and summed the
+// rest into oldBytes.
+func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.Level, ri int32, rhoNew, oldBytes float64) {
 	newBytes := rhoNew * float64(p.regions[ri].Size())
 	avail := lv.C - newBytes
-	if avail <= 0 {
-		ev.resetTo(row, li, ri, rhoNew)
-		return
-	}
-	// Mark ri's ancestor-or-self chain once; relatedness of each old
-	// entry then needs only a stamp probe plus its own parent walk.
-	ev.gen++
-	for x := ri; x >= 0; x = p.regions[x].Parent {
-		ev.ancStamp[x] = ev.gen
-	}
-	relatedToNew := func(r int32) bool {
-		if ev.ancStamp[r] == ev.gen {
-			return true // r is ri or an ancestor of ri
-		}
-		for x := p.regions[r].Parent; x >= 0; x = p.regions[x].Parent {
-			if x == ri {
-				return true // ri contains r
-			}
-		}
-		return false
-	}
-	var oldBytes float64
-	for _, r := range lst {
-		if r == ri || relatedToNew(r) {
-			continue
-		}
-		oldBytes += row[r] * float64(p.regions[r].Size())
-	}
-	if oldBytes <= 0 {
+	if avail <= 0 || oldBytes <= 0 {
 		ev.resetTo(row, li, ri, rhoNew)
 		return
 	}
@@ -537,15 +521,9 @@ func (ev *evaluator) mergeBasic(p *Program, row []float64, li int, lv costmath.L
 	if oldBytes > avail {
 		scale = avail / oldBytes
 	}
+	lst := ev.stateNZ[li]
 	out := lst[:0]
 	for _, r := range lst {
-		if r == ri {
-			continue // re-inserted below with its new fraction
-		}
-		if relatedToNew(r) {
-			row[r] = 0
-			continue
-		}
 		if g := row[r] * scale; g > 1e-9 {
 			row[r] = g
 			out = append(out, r)
@@ -572,13 +550,10 @@ func (ev *evaluator) resetTo(row []float64, li int, ri int32, rho float64) {
 }
 
 // mergeEmpty merges an empty result state (a zero-size region leaves
-// nothing behind): previous contents are rescaled to the capacity.
-func (ev *evaluator) mergeEmpty(p *Program, row []float64, li int, lv costmath.Level) {
+// nothing behind): previous contents, oldBytes in all, are rescaled to
+// the capacity.
+func (ev *evaluator) mergeEmpty(p *Program, row []float64, li int, lv costmath.Level, oldBytes float64) {
 	lst := ev.stateNZ[li]
-	var oldBytes float64
-	for _, r := range lst {
-		oldBytes += row[r] * float64(p.regions[r].Size())
-	}
 	if oldBytes <= 0 {
 		for _, r := range lst {
 			row[r] = 0
@@ -632,33 +607,20 @@ func (ev *evaluator) concMerge(p *Program, f *frame, li, nR int) {
 		return
 	}
 	// An entry of the entry state survives only if it is unrelated to
-	// every merged region. Mark the merged regions and their ancestor
-	// chains once (generation stamps avoid clearing), so each survival
-	// test is a parent-chain walk instead of a scan over all merged
-	// regions.
-	ev.gen++
-	for _, n := range f.mergedNZ[li] {
-		ev.mergedStamp[n] = ev.gen
-		for x := n; x >= 0; x = p.regions[x].Parent {
-			ev.ancStamp[x] = ev.gen
-		}
-	}
-	keep := func(r int32) bool {
-		if ev.ancStamp[r] == ev.gen {
-			return false // r is merged, or an ancestor of a merged region
-		}
-		for x := p.regions[r].Parent; x >= 0; x = p.regions[x].Parent {
-			if ev.mergedStamp[x] == ev.gen {
-				return false // a merged region contains r
-			}
-		}
-		return true
-	}
+	// every merged region. A merged entry is related to itself (its
+	// merged value is non-zero); the few others — entries some child
+	// superseded — are tested against the merged regions' intervals.
+	// Survivors are appended after the merged entries, so relatedness
+	// is decided once per entry.
+	nMerged := len(lst)
 	var oldBytes float64
 	for _, r := range f.snapNZ[li] {
-		if keep(r) {
-			oldBytes += old[r] * float64(p.regions[r].Size())
+		x := &p.regions[r]
+		if mrg[r] != 0 || relatedToAny(p, lst[:nMerged], x) {
+			continue
 		}
+		oldBytes += old[r] * float64(x.Size())
+		lst = append(lst, r)
 	}
 	if oldBytes <= 0 {
 		return
@@ -667,21 +629,29 @@ func (ev *evaluator) concMerge(p *Program, f *frame, li, nR int) {
 	if oldBytes > avail {
 		scale = avail / oldBytes
 	}
-	added := false
-	for _, r := range f.snapNZ[li] {
-		if !keep(r) {
-			continue
-		}
+	out := lst[:nMerged]
+	for _, r := range lst[nMerged:] {
 		if g := old[r] * scale; g > 1e-9 {
 			row[r] = g
-			ev.stateNZ[li] = append(ev.stateNZ[li], r)
-			added = true
+			out = append(out, r)
 		}
 	}
-	if added {
-		slices.Sort(ev.stateNZ[li])
+	if len(out) > nMerged {
+		slices.Sort(out)
 	}
+	ev.stateNZ[li] = out
 	ev.boundRow(p, row, li)
+}
+
+// relatedToAny reports whether x contains, or is contained in, one of
+// the regions rs.
+func relatedToAny(p *Program, rs []int32, x *RegionInfo) bool {
+	for _, r := range rs {
+		if y := &p.regions[r]; y.contains(x) || x.contains(y) {
+			return true
+		}
+	}
+	return false
 }
 
 // boundRow enforces maxStateEntries, keeping the entries with the most

@@ -27,10 +27,11 @@ type Node struct {
 // in preorder: ⊕ flattened, ⊙ operands sorted, one Node per tree node.
 // Two patterns with the same canonical form get the same outline.
 func Outline(p pattern.Pattern) (*Program, []Node, error) {
-	root, err := canonicalTree(p)
-	if err != nil {
+	if err := pattern.Validate(p); err != nil {
 		return nil, nil, err
 	}
+	var c canonizer
+	root := c.canon(p, map[regionID]int32{})
 	var nodes []Node
 	next := 0
 	var walk func(n *cnode, depth int)
@@ -52,7 +53,7 @@ func Outline(p pattern.Pattern) (*Program, []Node, error) {
 		nodes[i].Hi = next
 	}
 	walk(root, 0)
-	return compileTree(root), nodes, nil
+	return c.compile(root), nodes, nil
 }
 
 // basic rebuilds a basic node as a pattern carrying its canonical

@@ -171,8 +171,8 @@ func (pl *Planner) QueryCostedTreesSearch(q queryplan.Query, so SearchOptions) (
 // drifted query are re-scored here instead of re-running the
 // plan-space search. Every plan is recompiled and evaluated, so this
 // is not microseconds: in the serving benchmark's plan-drift workload
-// a revalidation averages 26 ms on a 2-vCPU Xeon VM, 95% of it here
-// re-scoring five re-bound plans (perfbench/README.md).
+// (seed 7) a revalidation averages 24 ms on a 2-vCPU Xeon VM, 96% of
+// it here re-scoring five re-bound plans (perfbench/README.md).
 func (pl *Planner) ScoreQueryPlans(trees []*queryplan.Plan) ([]Plan, error) {
 	out := make([]Plan, len(trees))
 	for i, t := range trees {

@@ -190,8 +190,9 @@ func PricePlanTreesSearch(h *costmodel.Hierarchy, q Query, so SearchOptions) ([]
 // no sorting. This is what parameter-drift re-validation of cached
 // recipes runs instead of a DP re-search. Each plan costs a
 // costir.Compile plus an IR evaluation: in the serving benchmark's
-// plan-drift workload a revalidation averages 26 ms on a 2-vCPU Xeon
-// VM, 95% of it re-scoring five re-bound plans (perfbench/README.md).
+// plan-drift workload (seed 7) a revalidation averages 24 ms on a
+// 2-vCPU Xeon VM, 96% of it re-scoring five re-bound plans
+// (perfbench/README.md).
 func RescorePlans(h *costmodel.Hierarchy, trees []*Plan) ([]costmodel.Plan, error) {
 	pl, err := costmodel.NewPlanner(h)
 	if err != nil {
