@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -100,5 +101,39 @@ func TestCheckAcceptance(t *testing.T) {
 	allocating.Benchmarks = []Benchmark{{Name: "Evaluate/ir/quicksort", AllocsPerOp: 1}}
 	if err := allocating.checkAcceptance(); err == nil || !strings.Contains(err.Error(), "want 0") {
 		t.Errorf("allocating IR benchmark: error %v", err)
+	}
+
+	// -snapshot gates the warm DP time of every reference scenario at
+	// snapshotTolerance times the committed value.
+	warm := func(scale float64) Report {
+		var rep Report
+		for i, sc := range snapshotScenarios {
+			rep.PlanSearch = append(rep.PlanSearch, PlanSpeedup{Scenario: sc, DPNsPerOp: scale * float64(i+1) * 1e6})
+		}
+		return rep
+	}
+	snap := filepath.Join(t.TempDir(), "BENCH_plan.json")
+	data, err := json.Marshal(warm(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(snap, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	within := warm(snapshotTolerance)
+	if err := within.checkSnapshot(snap); err != nil {
+		t.Fatalf("report at the tolerance rejected: %v", err)
+	}
+	for i, sc := range snapshotScenarios {
+		slow := warm(1)
+		slow.PlanSearch[i].DPNsPerOp *= snapshotTolerance * 1.01
+		if err := slow.checkSnapshot(snap); err == nil || !strings.Contains(err.Error(), sc+" warm DP search regressed") {
+			t.Errorf("%s past the tolerance: error %v", sc, err)
+		}
+		missing := warm(1)
+		missing.PlanSearch = append(missing.PlanSearch[:i:i], missing.PlanSearch[i+1:]...)
+		if err := missing.checkSnapshot(snap); err == nil || !strings.Contains(err.Error(), "no warm DP time for "+sc) {
+			t.Errorf("%s missing from the report: error %v", sc, err)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,9 @@ import (
 //
 // The memo is built for an optimizer's inner loop (docs/optimizer.md):
 //
-//   - Subplans live inline in per-subset slabs of plain structs (child
-//     links are (subset, slot) indices, not pointers); *Plan trees are
+//   - Subplans live inline in per-subset buckets of plain structs (child
+//     links are (subset, slot) indices, not pointers), each bucket kept
+//     sorted and capped at top-k as candidates arrive; *Plan trees are
 //     materialized only for the full set's survivors, so the memo
 //     allocates O(subsets × k) structs instead of one heap node per
 //     candidate.
@@ -43,9 +45,10 @@ import (
 //   - The cost bound is priced from interned operator-step geometries:
 //     each primitive step (sort, merge, hash join, partition, …) is
 //     lowered, compiled and cold-evaluated once per distinct geometry
-//     across the whole search, and compound operators price as sums of
-//     interned steps — a partitioned hash join prices its m symmetric
-//     cluster joins as one interned eval, not m.
+//     and pricing environment in the process, and compound operators
+//     price as sums of interned steps — a partitioned hash join prices
+//     its m symmetric cluster joins as one interned eval, not m. Cache
+//     keys are plain integers, hashed as memory.
 //   - Phase 1 is parallelized across subset-size strata: every size-k
 //     subset reads only finalized entries of sizes < k, so a bounded
 //     worker pool per stratum is race-free by construction, and
@@ -147,7 +150,7 @@ func Search(q Query, opts Options, hier *hardware.Hierarchy) ([]*Plan, error) {
 // Every step cost is the cold IR evaluation of the step's Table-2
 // pattern plus nothing else; compound operators are priced as sums of
 // steps.
-type stepKind uint8
+type stepKind uint32
 
 const (
 	stepProject stepKind = iota // filtered/projecting scan: s_trav(U,u) ⊙ s_trav(W)
@@ -158,21 +161,27 @@ const (
 	stepPhj                     // whole partitioned hash join (partitions ⊕ clusters)
 )
 
-// stepKey is the geometry of one primitive step — everything its cold
-// cost depends on. n3/w3 hold the output region where present; m holds
-// the partition fan-out or the projection's bytes-used.
+// stepKey is the geometry of one primitive step plus its pricing
+// environment — everything its cold cost depends on, and the key of
+// the process-global step cache. n3/w3 hold the output region where
+// present; m holds the partition fan-out or the projection's
+// bytes-used. Callers fill in the geometry; bounder.step stamps env.
+// The layout is 64 bytes of integers with no padding, so map and
+// sync.Map hash it as one block of memory.
 type stepKey struct {
 	kind           stepKind
+	env            envID
 	m              int64
 	n1, w1, n2, w2 int64
 	n3, w3         int64
 }
 
 // bounder prices the context-free cost bound: step costs interned by
-// geometry across every search in the process (see stepCache), operator
-// costs interned per search on top (a join operator's geometry includes
-// sortedness and algorithm, which select its steps). Both tables are
-// shared by every memo worker; the values are pure functions of their
+// geometry across every search in the process (see stepCache),
+// operator costs interned per search on top (a join operator's
+// geometry includes sortedness and algorithm, which select its steps;
+// see opTable). A bounder is immutable after newBounder, so every memo
+// worker shares it; the values it computes are pure functions of their
 // keys, so concurrent duplicate computation is benign and the cached
 // values are scheduling-independent.
 type bounder struct {
@@ -180,12 +189,9 @@ type bounder struct {
 	prune int64
 	cpu   CPUCosts
 
-	// env fingerprints everything besides the step geometry that a step
-	// cost depends on, making cached costs shareable across searches.
-	env envKey
-
-	opMu sync.RWMutex
-	ops  map[opKey]float64
+	// env names everything besides the step geometry that a step cost
+	// depends on, making cached costs shareable across searches.
+	env envID
 }
 
 // envKey is the pricing environment of a search: the hardware hierarchy
@@ -197,27 +203,46 @@ type envKey struct {
 	cpu   CPUCosts
 }
 
-// stepCache interns step costs process-wide, keyed by (environment,
-// geometry). A serving process prices a stream of queries against the
-// same one or two hardware profiles, and distinct queries over one
-// catalog share most operator geometries, so steady-state searches hit
-// this table for nearly every bound. Entries are pure functions of
-// their key (a cold IR evaluation), so sharing them across goroutines
-// and searches cannot change any result. The count cap is a safety
-// valve for adversarial geometry streams: past it, costs are computed
-// uncached rather than evicted, keeping behavior simple and
-// deterministic.
+// envID is the small integer an envKey is interned to, so step-cache
+// keys carry no string or float.
+type envID uint32
+
+// envIDs interns pricing environments process-wide. A serving process
+// sees a handful (one per hardware profile and CPU setting), and each
+// search looks its environment up once, in newBounder. Ids are never
+// reused, so two environments never share a step-cache entry.
 var (
-	stepCache     sync.Map // stepCacheKey -> float64
+	envMu  sync.Mutex
+	envIDs = make(map[envKey]envID)
+)
+
+func internEnv(k envKey) envID {
+	envMu.Lock()
+	defer envMu.Unlock()
+	id, ok := envIDs[k]
+	if !ok {
+		id = envID(len(envIDs))
+		envIDs[k] = id
+	}
+	return id
+}
+
+// stepCache interns step costs process-wide, keyed by stepKey
+// (environment id and geometry). A serving process prices a stream of
+// queries against the same one or two hardware profiles, and distinct
+// queries over one catalog share most operator geometries, so
+// steady-state searches hit this table for nearly every bound. Entries
+// are pure functions of their key (a cold IR evaluation), so sharing
+// them across goroutines and searches cannot change any result. The
+// count cap is a safety valve for adversarial geometry streams: past
+// it, costs are computed uncached rather than evicted, keeping
+// behavior simple and deterministic.
+var (
+	stepCache     sync.Map // stepKey -> float64
 	stepCacheSize atomic.Int64
 )
 
 const maxStepCacheEntries = 1 << 20
-
-type stepCacheKey struct {
-	env  envKey
-	step stepKey
-}
 
 // ResetStepCache empties the process-global step-cost cache. Cached
 // entries are pure functions of their keys, so the only observable
@@ -232,31 +257,40 @@ func ResetStepCache() {
 }
 
 // opKey is the geometry of one join operator — everything its bound
-// (selected steps + CPU estimate) depends on.
+// (selected steps + CPU estimate) depends on. Like stepKey it is all
+// integers with no padding (alg is 16 bits wide only to fill the last
+// word), so the per-search table hashes it as plain memory.
 type opKey struct {
-	alg        Algorithm
-	fanout     int64
-	n1, w1     int64
-	sorted1    bool
-	n2, w2     int64
-	sorted2    bool
-	nOut, wOut int64
+	n1, w1, n2, w2   int64
+	nOut, wOut       int64
+	fanout           int32
+	alg              int16 // index into joinAlgs
+	sorted1, sorted2 bool
 }
+
+// opTable interns operator bounds within one search. Each memo worker
+// owns one (dp.ops), so the hit path takes no lock; a bound two workers
+// both compute is the same pure function of its key, so the duplicate
+// cannot change a result. The table stays per search rather than
+// process-wide: operator geometries include the query's intermediate
+// cardinalities, so a process-wide table grows with every new query
+// shape (docs/optimizer.md gives the heap it cost the serving
+// benchmark).
+type opTable map[opKey]float64
 
 func newBounder(hier *hardware.Hierarchy, prune int64, cpu CPUCosts) *bounder {
 	return &bounder{
 		hier:  hier,
 		prune: prune,
 		cpu:   cpu,
-		env:   envKey{hw: hier.Fingerprint(), prune: prune, cpu: cpu},
-		ops:   make(map[opKey]float64),
+		env:   internEnv(envKey{hw: hier.Fingerprint(), prune: prune, cpu: cpu}),
 	}
 }
 
 // step returns the interned cold cost of one primitive step.
 func (b *bounder) step(k stepKey) (float64, error) {
-	ck := stepCacheKey{env: b.env, step: k}
-	if c, ok := stepCache.Load(ck); ok {
+	k.env = b.env
+	if c, ok := stepCache.Load(k); ok {
 		return c.(float64), nil
 	}
 	prog, err := costir.Compile(b.stepPattern(k))
@@ -265,7 +299,7 @@ func (b *bounder) step(k stepKey) (float64, error) {
 	}
 	c := prog.MemoryTimeNS(b.hier)
 	if stepCacheSize.Load() < maxStepCacheEntries {
-		if _, loaded := stepCache.LoadOrStore(ck, c); !loaded {
+		if _, loaded := stepCache.LoadOrStore(k, c); !loaded {
 			stepCacheSize.Add(1)
 		}
 	}
@@ -314,23 +348,18 @@ func (b *bounder) stepPattern(k stepKey) pattern.Pattern {
 // cold-evaluated (each interned by geometry) plus the
 // hardware-independent CPU estimate — the additive, context-free
 // decomposition that keeps phase 1 linear in distinct step geometries.
-// The per-operator result is interned too, so the common case is one
-// map hit.
-func (b *bounder) joinBound(k opKey) (float64, error) {
-	b.opMu.RLock()
-	c, ok := b.ops[k]
-	b.opMu.RUnlock()
-	if ok {
+// The per-operator result is interned in the caller's table too, so
+// the common case is one map hit.
+func (b *bounder) joinBound(ops opTable, k opKey) (float64, error) {
+	if c, ok := ops[k]; ok {
 		return c, nil
 	}
 	mem, err := b.joinMem(k)
 	if err != nil {
 		return 0, err
 	}
-	c = mem + b.joinCPU(k)
-	b.opMu.Lock()
-	b.ops[k] = c
-	b.opMu.Unlock()
+	c := mem + b.joinCPU(k)
+	ops[k] = c
 	return c, nil
 }
 
@@ -338,9 +367,9 @@ func (b *bounder) joinBound(k opKey) (float64, error) {
 // Plan.Lower emits for the same node.
 func (b *bounder) joinMem(k opKey) (float64, error) {
 	switch k.alg {
-	case MergeJoin:
+	case algMJ:
 		return b.step(stepKey{kind: stepMerge, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-	case SortMergeJoin:
+	case algSMJ:
 		var sum float64
 		if !k.sorted1 {
 			c, err := b.step(stepKey{kind: stepSort, n1: k.n1, w1: k.w1})
@@ -361,19 +390,19 @@ func (b *bounder) joinMem(k opKey) (float64, error) {
 			return 0, err
 		}
 		return sum + c, nil
-	case HashJoin:
+	case algHJ:
 		// Build on the smaller input, exactly as Plan.Lower does.
 		np, wp, nb, wb := k.n1, k.w1, k.n2, k.w2
 		if k.n1 < k.n2 {
 			np, wp, nb, wb = k.n2, k.w2, k.n1, k.w1
 		}
 		return b.step(stepKey{kind: stepHash, n1: np, w1: wp, n2: nb, w2: wb, n3: k.nOut, w3: k.wOut})
-	case PartitionedHashJoin:
-		return b.step(stepKey{kind: stepPhj, m: k.fanout, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
-	case NestedLoopJoin:
+	case algPHJ:
+		return b.step(stepKey{kind: stepPhj, m: int64(k.fanout), n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
+	case algNLJ:
 		return b.step(stepKey{kind: stepNLJ, n1: k.n1, w1: k.w1, n2: k.n2, w2: k.w2, n3: k.nOut, w3: k.wOut})
 	default:
-		return 0, fmt.Errorf("queryplan: unknown join algorithm %q", k.alg)
+		return 0, fmt.Errorf("queryplan: unknown join algorithm index %d", k.alg)
 	}
 }
 
@@ -382,11 +411,11 @@ func (b *bounder) joinMem(k opKey) (float64, error) {
 func (b *bounder) joinCPU(k opKey) float64 {
 	nl, nr, no := float64(k.n1), float64(k.n2), float64(k.nOut)
 	switch k.alg {
-	case NestedLoopJoin:
+	case algNLJ:
 		return b.cpu.Compare*nl*nr + b.cpu.Move*no
-	case MergeJoin:
+	case algMJ:
 		return b.cpu.Compare*(nl+nr) + b.cpu.Move*no
-	case SortMergeJoin:
+	case algSMJ:
 		var cpu float64
 		if !k.sorted1 {
 			cpu += b.cpu.sortNS(nl)
@@ -395,9 +424,9 @@ func (b *bounder) joinCPU(k opKey) float64 {
 			cpu += b.cpu.sortNS(nr)
 		}
 		return cpu + b.cpu.Compare*(nl+nr) + b.cpu.Move*no
-	case HashJoin:
+	case algHJ:
 		return b.cpu.Hash*(nl+nr) + b.cpu.Move*no
-	case PartitionedHashJoin:
+	case algPHJ:
 		return b.cpu.Partition*(nl+nr) + b.cpu.Hash*(nl+nr) + b.cpu.Move*no
 	}
 	return 0
@@ -429,8 +458,8 @@ func (b *bounder) leafBound(leaf *Plan) (float64, error) {
 // node payload (algorithm, child references, output geometry) plus its
 // context-free bound and the per-subset insertion number that breaks
 // bound ties deterministically. Child references point into finalized
-// smaller subsets, so they stay valid while this subset's slab is
-// compacted.
+// smaller subsets, so they stay valid while later inserts reorder this
+// subset's buckets.
 type cand struct {
 	bound float64
 	// seq is the subset-local insertion number — the deterministic
@@ -448,18 +477,19 @@ type cand struct {
 // algLeaf marks a scan-leaf candidate.
 const algLeaf = int8(-1)
 
-// joinAlgs maps the cand.alg index back to the algorithm inventory.
-var joinAlgs = [...]Algorithm{
-	MergeJoin, SortMergeJoin, HashJoin, PartitionedHashJoin, NestedLoopJoin,
-}
+// The cand.alg / opKey.alg indices of the join algorithm inventory.
+const (
+	algMJ = iota
+	algSMJ
+	algHJ
+	algPHJ
+	algNLJ
+)
 
-func algIndex(a Algorithm) int8 {
-	for i, x := range joinAlgs {
-		if x == a {
-			return int8(i)
-		}
-	}
-	panic(fmt.Sprintf("queryplan: unknown join algorithm %q", a))
+// joinAlgs maps an algorithm index back to the algorithm inventory.
+var joinAlgs = [...]Algorithm{
+	algMJ: MergeJoin, algSMJ: SortMergeJoin, algHJ: HashJoin,
+	algPHJ: PartitionedHashJoin, algNLJ: NestedLoopJoin,
 }
 
 // subRef addresses one candidate: the subset's bitmask plus a slot
@@ -473,9 +503,10 @@ type subRef struct {
 // order (the classic "interesting orders" refinement): a sorted-output
 // subplan can lose on the context-free bound yet win the full query by
 // feeding a downstream merge join, sort-aggregate or order-by for free,
-// so each order class keeps its own top-k. ranked is the finalized
-// merge of both classes, cheapest bound first — computed once when the
-// subset's stratum completes, then read-only for every larger subset.
+// so each order class keeps its own top-k, sorted by (bound, seq) as it
+// fills (see insert). ranked is the finalized merge of both classes,
+// cheapest bound first — computed once when the subset's stratum
+// completes, then read-only for every larger subset.
 type memoEntry struct {
 	buckets [2][]cand // [0] unsorted output, [1] sorted output
 	ranked  []int32   // slots, cheapest (bound, seq) first
@@ -495,6 +526,9 @@ type dp struct {
 	leftDeep bool
 	// adj[i] is the bitmask of relations sharing a join edge with i.
 	adj []uint32
+	// ops[w] is memo worker w's operator-bound table (ops[0] on the
+	// single-threaded path); see opTable.
+	ops []opTable
 	// memo[s] holds the surviving subplans for relation subset s — a
 	// dense table indexed by bitmask, so only connected subsets ever
 	// become non-empty: singletons are seeded directly, and a larger
@@ -530,6 +564,8 @@ func dpSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierarchy)
 		adj:      adjacency(q),
 		memo:     make([]memoEntry, uint32(1)<<n),
 	}
+	d.ops = make([]opTable, d.par)
+	d.ops[0] = make(opTable)
 	for i := 0; i < n; i++ {
 		leaf := e.scanPlan(i)
 		bound, err := d.b.leafBound(leaf)
@@ -589,7 +625,7 @@ func (d *dp) runStrata(n int) error {
 		}
 		if workers <= 1 {
 			for _, s := range subs {
-				if err := d.buildSubset(s); err != nil {
+				if err := d.buildSubset(s, d.ops[0]); err != nil {
 					return err
 				}
 			}
@@ -603,21 +639,24 @@ func (d *dp) runStrata(n int) error {
 			wg       sync.WaitGroup
 		)
 		for w := 0; w < workers; w++ {
+			if d.ops[w] == nil {
+				d.ops[w] = make(opTable)
+			}
 			wg.Add(1)
-			go func() {
+			go func(ops opTable) {
 				defer wg.Done()
 				for !failed.Load() {
 					i := next.Add(1) - 1
 					if i >= int64(len(subs)) {
 						return
 					}
-					if err := d.buildSubset(subs[i]); err != nil {
+					if err := d.buildSubset(subs[i], ops); err != nil {
 						errOnce.Do(func() { firstErr = err })
 						failed.Store(true)
 						return
 					}
 				}
-			}()
+			}(d.ops[w])
 		}
 		wg.Wait()
 		if failed.Load() {
@@ -633,7 +672,7 @@ func (d *dp) runStrata(n int) error {
 // pairs are enumerated with S1 ascending, which makes the left-deep
 // restriction of the DP search visit extensions in the same relation
 // order as the exhaustive enumerator.
-func (d *dp) buildSubset(s uint32) error {
+func (d *dp) buildSubset(s uint32, ops opTable) error {
 	entry := &d.memo[s]
 	// (s1-s)&s enumerates the proper non-empty submasks of s in
 	// ascending numeric order without allocating.
@@ -652,7 +691,7 @@ func (d *dp) buildSubset(s uint32) error {
 			for _, sl2 := range e2.ranked {
 				c2 := e2.at(sl2)
 				outN, outW := d.pairGeometry(c1, c2, s1, s2)
-				if err := d.addJoins(entry, r1, c1, subRef{mask: s2, slot: sl2}, c2, outN, outW); err != nil {
+				if err := d.addJoins(ops, entry, r1, c1, subRef{mask: s2, slot: sl2}, c2, outN, outW); err != nil {
 					return err
 				}
 			}
@@ -665,12 +704,12 @@ func (d *dp) buildSubset(s uint32) error {
 // addJoins files one join candidate per applicable algorithm — the same
 // inventory, eligibility rules and emission order as the exhaustive
 // enumerator's joinNodes.
-func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand, outN, outW int64) error {
+func (d *dp) addJoins(ops opTable, entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand, outN, outW int64) error {
 	nl, nr := c1.outN, c2.outN
 	childBound := c1.bound + c2.bound
-	emit := func(alg Algorithm, fanout int64, sorted bool) error {
-		op, err := d.b.joinBound(opKey{
-			alg: alg, fanout: fanout,
+	emit := func(alg int8, fanout int64, sorted bool) error {
+		op, err := d.b.joinBound(ops, opKey{
+			alg: int16(alg), fanout: int32(fanout),
 			n1: nl, w1: c1.outW, sorted1: c1.outSorted,
 			n2: nr, w2: c2.outW, sorted2: c2.outSorted,
 			nOut: outN, wOut: outW,
@@ -680,7 +719,7 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 		}
 		entry.insert(cand{
 			bound: childBound + op,
-			alg:   algIndex(alg), fanout: int32(fanout),
+			alg:   alg, fanout: int32(fanout),
 			left: r1, right: r2,
 			outN: outN, outW: outW, outSorted: sorted,
 		}, d.topK)
@@ -690,26 +729,26 @@ func (d *dp) addJoins(entry *memoEntry, r1 subRef, c1 *cand, r2 subRef, c2 *cand
 	if c1.outSorted && c2.outSorted {
 		// Both inputs already key-ordered: a sort-merge join would sort
 		// nothing, so only the plain merge join is emitted.
-		if err := emit(MergeJoin, 0, true); err != nil {
+		if err := emit(algMJ, 0, true); err != nil {
 			return err
 		}
-	} else if err := emit(SortMergeJoin, 0, true); err != nil {
+	} else if err := emit(algSMJ, 0, true); err != nil {
 		return err
 	}
-	if err := emit(HashJoin, 0, false); err != nil {
+	if err := emit(algHJ, 0, false); err != nil {
 		return err
 	}
 	for _, m := range d.e.opts.Fanouts {
 		if m*8 > nl || m*8 > nr {
 			continue // degenerate clusters
 		}
-		if err := emit(PartitionedHashJoin, m, false); err != nil {
+		if err := emit(algPHJ, m, false); err != nil {
 			return err
 		}
 	}
 	if d.e.opts.NLJMaxInner > 0 && (nl <= d.e.opts.NLJMaxInner || nr <= d.e.opts.NLJMaxInner) {
 		// The outer relation's order survives a nested-loop join.
-		if err := emit(NestedLoopJoin, 0, c1.outSorted); err != nil {
+		if err := emit(algNLJ, 0, c1.outSorted); err != nil {
 			return err
 		}
 	}
@@ -737,68 +776,89 @@ func (d *dp) pairGeometry(c1, c2 *cand, s1, s2 uint32) (outN, outW int64) {
 	return clampTuples(card), width
 }
 
-// insert files a candidate into its order-class bucket, compacting the
-// bucket back to the top-k whenever it doubles — online top-k selection
-// is prefix-composable (an element dropped here had k
+// insert files a candidate into its order-class bucket. With pruning
+// on, each bucket stays sorted by (bound, seq) and holds at most topK
+// entries: the candidate goes in after every entry with a bound ≤ its
+// own (its seq is the newest, so it loses every tie) and is dropped if
+// that position is ≥ topK. Online top-k selection is
+// prefix-composable — an element dropped here already had k
 // better-or-equal-and-earlier entries, which only ever get displaced by
-// still better ones), so mid-stream compaction yields exactly the same
-// survivors as pruning once at the end while keeping memo memory
-// O(subsets × k) instead of O(candidates).
+// still better ones — so this keeps exactly the survivors of a stable
+// sort of the whole stream cut to k, in memo memory O(subsets × k).
+// Unpruned (the oracle configuration), the bucket is appended to and
+// sorted once by finalize.
 func (m *memoEntry) insert(c cand, topK int) {
 	c.seq = m.seq
 	m.seq++
-	bucket := &m.buckets[0]
+	cls := 0
 	if c.outSorted {
-		bucket = &m.buckets[1]
+		cls = 1
 	}
-	*bucket = append(*bucket, c)
-	if topK < math.MaxInt/2 && len(*bucket) >= 2*topK+16 {
-		*bucket = cutTopK(*bucket, topK)
-	}
-}
-
-// cutTopK sorts a bucket by (bound, insertion order) and truncates it
-// to k entries. The stable sort preserves insertion order among equal
-// bounds, so the cut is deterministic.
-func cutTopK(b []cand, k int) []cand {
-	sort.SliceStable(b, func(i, j int) bool { return b[i].bound < b[j].bound })
-	if len(b) > k {
-		b = b[:k]
-	}
-	return b
-}
-
-// finalize prunes both order-class buckets to the top-k and computes
-// the entry's cross-class ranking once, cheapest (bound, seq) first.
-// After finalize the entry is read-only — every larger subset iterates
-// the precomputed ranking instead of re-sorting per split.
-func (m *memoEntry) finalize(topK int) {
-	if topK < math.MaxInt/2 {
-		m.buckets[0] = cutTopK(m.buckets[0], topK)
-		m.buckets[1] = cutTopK(m.buckets[1], topK)
-	} else {
-		// Pruning disabled (the oracle configuration): order each bucket
-		// without truncating.
-		m.buckets[0] = cutTopK(m.buckets[0], len(m.buckets[0]))
-		m.buckets[1] = cutTopK(m.buckets[1], len(m.buckets[1]))
-	}
-	n := len(m.buckets[0]) + len(m.buckets[1])
-	if n == 0 {
+	b := m.buckets[cls]
+	if topK >= math.MaxInt/2 {
+		m.buckets[cls] = append(b, c)
 		return
 	}
-	m.ranked = make([]int32, 0, n)
-	for cls := int32(0); cls < 2; cls++ {
-		for i := range m.buckets[cls] {
-			m.ranked = append(m.ranked, int32(i)<<1|cls)
+	pos := sort.Search(len(b), func(i int) bool { return b[i].bound > c.bound })
+	if pos >= topK {
+		return
+	}
+	if len(b) < topK {
+		if b == nil {
+			b = make([]cand, 0, min(topK, maxBucketPrealloc))
+		}
+		b = append(b, cand{})
+	}
+	copy(b[pos+1:], b[pos:len(b)-1])
+	b[pos] = c
+	m.buckets[cls] = b
+}
+
+// maxBucketPrealloc caps a bucket's first allocation, so a huge TopK
+// costs memory only as candidates actually arrive.
+const maxBucketPrealloc = 16
+
+// finalize computes the entry's cross-class ranking once, cheapest
+// (bound, seq) first, by merging the two sorted buckets. After finalize
+// the entry is read-only — every larger subset iterates the precomputed
+// ranking instead of re-sorting per split.
+func (m *memoEntry) finalize(topK int) {
+	if topK >= math.MaxInt/2 {
+		// Unpruned buckets arrive in insertion (seq) order; a stable
+		// sort by bound leaves them in (bound, seq) order.
+		for cls := range m.buckets {
+			slices.SortStableFunc(m.buckets[cls], func(a, b cand) int {
+				switch {
+				case a.bound < b.bound:
+					return -1
+				case a.bound > b.bound:
+					return 1
+				}
+				return 0
+			})
 		}
 	}
-	sort.SliceStable(m.ranked, func(i, j int) bool {
-		a, b := m.at(m.ranked[i]), m.at(m.ranked[j])
-		if a.bound != b.bound {
-			return a.bound < b.bound
+	u, s := m.buckets[0], m.buckets[1]
+	if len(u)+len(s) == 0 {
+		return
+	}
+	m.ranked = make([]int32, 0, len(u)+len(s))
+	i, j := 0, 0
+	for i < len(u) && j < len(s) {
+		if s[j].bound < u[i].bound || (s[j].bound == u[i].bound && s[j].seq < u[i].seq) {
+			m.ranked = append(m.ranked, int32(j)<<1|1)
+			j++
+		} else {
+			m.ranked = append(m.ranked, int32(i)<<1)
+			i++
 		}
-		return a.seq < b.seq
-	})
+	}
+	for ; i < len(u); i++ {
+		m.ranked = append(m.ranked, int32(i)<<1)
+	}
+	for ; j < len(s); j++ {
+		m.ranked = append(m.ranked, int32(j)<<1|1)
+	}
 }
 
 // materialize rebuilds *Plan trees for the full set's survivors — the

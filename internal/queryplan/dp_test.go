@@ -1,6 +1,8 @@
 package queryplan
 
 import (
+	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -215,5 +217,60 @@ func TestSearchDPLargeJoinGraphs(t *testing.T) {
 	plans, err := Search(sc.Query, dpOptions(SearchOptions{}), h)
 	if err != nil || len(plans) == 0 {
 		t.Fatalf("DP on the cyclic scenario: %d plans, err %v", len(plans), err)
+	}
+}
+
+// TestMemoInsertMatchesStableCut pins the bucket invariant of the memo:
+// after a stream of inserts and finalize, each order-class bucket holds
+// exactly the first k candidates of a stable sort of its stream by
+// bound (ties in insertion order), and ranked merges both buckets by
+// (bound, seq). Bounds are drawn from a handful of values so most
+// inserts tie, which is where an off-by-one insertion position shows.
+func TestMemoInsertMatchesStableCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(20261018))
+	for _, topK := range []int{1, 2, 5, -1} {
+		k := SearchOptions{TopK: topK}.topK()
+		for trial := 0; trial < 200; trial++ {
+			var m memoEntry
+			var stream [2][]cand
+			for i, n := 0, rng.Intn(40); i < n; i++ {
+				c := cand{bound: float64(rng.Intn(4)), outSorted: rng.Intn(2) == 0, rel: int32(i)}
+				m.insert(c, k)
+				c.seq = int32(i)
+				cls := 0
+				if c.outSorted {
+					cls = 1
+				}
+				stream[cls] = append(stream[cls], c)
+			}
+			m.finalize(k)
+
+			var want []cand
+			for cls, st := range stream {
+				sort.SliceStable(st, func(i, j int) bool { return st[i].bound < st[j].bound })
+				if len(st) > k {
+					st = st[:k]
+				}
+				if !slices.Equal(m.buckets[cls], st) {
+					t.Fatalf("topK=%d trial %d class %d: bucket\n  got  %v\n  want %v",
+						topK, trial, cls, m.buckets[cls], st)
+				}
+				want = append(want, st...)
+			}
+			sort.Slice(want, func(i, j int) bool {
+				if want[i].bound != want[j].bound {
+					return want[i].bound < want[j].bound
+				}
+				return want[i].seq < want[j].seq
+			})
+			if len(m.ranked) != len(want) {
+				t.Fatalf("topK=%d trial %d: %d ranked, want %d", topK, trial, len(m.ranked), len(want))
+			}
+			for i, slot := range m.ranked {
+				if got := *m.at(slot); got != want[i] {
+					t.Fatalf("topK=%d trial %d: ranked[%d] = %+v, want %+v", topK, trial, i, got, want[i])
+				}
+			}
+		}
 	}
 }

@@ -7,7 +7,7 @@ package queryplan
 // insertion counter, join nodes drawn from the exhaustive enumerator's
 // joinNodes — but prices every candidate with the CURRENT bounder, so
 // its bounds match the arena engine bit-for-bit and any divergence is a
-// memo-mechanics bug (insertion order, compaction, ranking, child
+// memo-mechanics bug (insertion order, pruning, ranking, child
 // references), not a costing difference.
 //
 // TestDPMatchesMapMemoOracle drives both engines over randomly
@@ -62,6 +62,7 @@ func (m *oracleEntry) ranked() []oracleScored {
 type oracleDP struct {
 	e        *enumerator
 	b        *bounder
+	ops      opTable
 	topK     int
 	leftDeep bool
 	adj      []uint32
@@ -84,6 +85,7 @@ func oracleSearch(q Query, opts Options, so SearchOptions, hier *hardware.Hierar
 	d := &oracleDP{
 		e:        &e,
 		b:        newBounder(hier, opts.PruneBytes, opts.CPU),
+		ops:      make(opTable),
 		topK:     so.topK(),
 		leftDeep: so.LeftDeepOnly,
 		adj:      adjacency(q),
@@ -166,8 +168,8 @@ func (d *oracleDP) buildSubset(s uint32) error {
 			for _, p2 := range e2.ranked() {
 				out := d.pairOutput(p1.plan, p2.plan, s1, s2, s)
 				for _, node := range d.e.joinNodes(p1.plan, p2.plan, out) {
-					op, err := d.b.joinBound(opKey{
-						alg: node.Algorithm, fanout: node.Fanout,
+					op, err := d.b.joinBound(d.ops, opKey{
+						alg: algIndex(node.Algorithm), fanout: int32(node.Fanout),
 						n1: p1.plan.Out.Tuples, w1: p1.plan.Out.Width, sorted1: p1.plan.Out.Sorted,
 						n2: p2.plan.Out.Tuples, w2: p2.plan.Out.Width, sorted2: p2.plan.Out.Sorted,
 						nOut: node.Out.Tuples, wOut: node.Out.Width,
@@ -186,6 +188,16 @@ func (d *oracleDP) buildSubset(s uint32) error {
 		entry.sorted = oracleCut(entry.sorted, d.topK)
 	}
 	return nil
+}
+
+// algIndex maps an algorithm back to its joinAlgs index.
+func algIndex(a Algorithm) int16 {
+	for i, x := range joinAlgs {
+		if x == a {
+			return int16(i)
+		}
+	}
+	panic(fmt.Sprintf("oracle: unknown join algorithm %q", a))
 }
 
 // oracleSplits enumerates the proper non-empty subsets of s ascending.
